@@ -86,20 +86,19 @@ func runChaosSoakNet(t *testing.T, seed int64, dur time.Duration) {
 	go h.Serve()
 	addr := h.Addr().String()
 
-	// A second host serves the same instance pinned to wire protocol v1:
-	// clients dialing it advertise v2 and are negotiated down mid-soak, so
-	// performances mix v2-multiplexed participants with fallback-v1 ones
-	// under the same fault injection.
-	hV1 := remote.NewHost(in, remote.HostConfig{
-		HeartbeatTimeout:   250 * time.Millisecond,
-		WriteTimeout:       5 * time.Second,
-		Faults:             inj,
-		MaxProtocolVersion: 1,
+	// A second host serves the same instance, and its enroller gives every
+	// enrollment a dedicated connection (MaxStreamsPerConn: 1), so
+	// performances mix multiplexed participants with dedicated-connection
+	// ones under the same fault injection.
+	hDed := remote.NewHost(in, remote.HostConfig{
+		HeartbeatTimeout: 250 * time.Millisecond,
+		WriteTimeout:     5 * time.Second,
+		Faults:           inj,
 	})
-	if err := hV1.Listen("127.0.0.1:0"); err != nil {
-		t.Fatalf("Listen (v1 host): %v", err)
+	if err := hDed.Listen("127.0.0.1:0"); err != nil {
+		t.Fatalf("Listen (dedicated-conn host): %v", err)
 	}
-	go hV1.Serve()
+	go hDed.Serve()
 
 	enr := remote.NewEnroller(addr, remote.EnrollerConfig{
 		Script:            "chaotic_net",
@@ -107,13 +106,14 @@ func runChaosSoakNet(t *testing.T, seed int64, dur time.Duration) {
 		Faults:            inj,
 	})
 	defer enr.Close()
-	enrV1 := remote.NewEnroller(hV1.Addr().String(), remote.EnrollerConfig{
+	enrDed := remote.NewEnroller(hDed.Addr().String(), remote.EnrollerConfig{
 		Script:            "chaotic_net",
 		HeartbeatInterval: 50 * time.Millisecond,
 		Faults:            inj,
+		MaxStreamsPerConn: 1,
 	})
-	defer enrV1.Close()
-	enrollers := []*remote.Enroller{enr, enrV1}
+	defer enrDed.Close()
+	enrollers := []*remote.Enroller{enr, enrDed}
 
 	clientBody := func(role string, rng *rand.Rand, panicky bool) core.RoleBody {
 		return func(rc core.Ctx) error {
@@ -187,7 +187,7 @@ func runChaosSoakNet(t *testing.T, seed int64, dur time.Duration) {
 		t.Fatalf("net chaos soak deadlocked (seed %d): workers still blocked 30s past the workload window", seed)
 	}
 
-	hV1.Close()
+	hDed.Close()
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
 	if err := h.Drain(dctx); err != nil {

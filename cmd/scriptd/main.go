@@ -22,8 +22,8 @@
 //
 // Observability: -metrics-addr starts an HTTP listener exposing the
 // process's always-on counters (performances, sheds, lane hits, wire
-// versions, trace drops) in Prometheus text format at /metrics, plus the
-// host's live gauges and Go's expvar at /debug/vars. The resolved address
+// connections, trace drops) in Prometheus text format at /metrics, plus
+// the host's live stats and Go's expvar at /debug/vars. The resolved address
 // is printed as "metrics on ADDR". -trace-sample enables sampled tracing of
 // the served performances.
 //
@@ -76,15 +76,13 @@ func run(args []string, out io.Writer) error {
 	hbTimeout := fs.Duration("heartbeat-timeout", remote.DefaultHeartbeatTimeout,
 		"abort a performance whose enroller has been silent this long")
 	resumeWindow := fs.Duration("resume-window", 0,
-		"park a v2 conversation this long after a connection loss, awaiting RESUME (0 disables session resumption)")
+		"park a conversation this long after a connection loss, awaiting RESUME (0 disables session resumption)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may take")
 	maxConns := fs.Int("max-conns", 0, "cap on concurrently-served connections (0 = unlimited)")
 	maxEnrollments := fs.Int("max-enrollments", 0, "cap on concurrently-admitted enrollments (0 = unlimited)")
 	maxPending := fs.Int("max-pending-offers", 0, "cap on pending (unmatched) offers (0 = unlimited)")
 	retryAfter := fs.Duration("retry-after", remote.DefaultRetryAfter,
 		"backoff hint carried by overload rejections (negative disables the hint)")
-	maxProto := fs.Int("max-proto", 0,
-		"highest SCRW protocol version to negotiate (0 = newest; 1 pins the JSON v1 wire)")
 	metricsAddr := fs.String("metrics-addr", "",
 		"TCP address for the /metrics and /debug/vars HTTP endpoint (empty disables; port 0 picks a free port)")
 	sampleFrac := fs.Float64("trace-sample", 0,
@@ -143,7 +141,6 @@ func run(args []string, out io.Writer) error {
 		MaxPendingOffers: *maxPending,
 		RetryAfter:       *retryAfter,
 	}
-	cfg.MaxProtocolVersion = *maxProto
 	if *verbose {
 		cfg.Logf = func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "scriptd: "+format+"\n", a...)
@@ -251,15 +248,16 @@ func run(args []string, out io.Writer) error {
 }
 
 // metricsMux builds the observability endpoint: /metrics serves the
-// process-wide counter registry plus the host's live gauges in Prometheus
-// text format, /debug/vars serves Go's expvar JSON.
+// process-wide counter registry plus the host's live stats in Prometheus
+// text format (monotonic "_total" rows typed counter, the rest gauge),
+// /debug/vars serves Go's expvar JSON.
 func metricsMux(h *remote.Host, in *core.Instance, reg registry.Registry, script string) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = metrics.Default.WritePrometheus(w)
 		st := h.Stats()
-		gauges := []struct {
+		rows := []struct {
 			name string
 			val  int64
 		}{
@@ -268,20 +266,23 @@ func metricsMux(h *remote.Host, in *core.Instance, reg registry.Registry, script
 			{"scriptd_host_active_streams", int64(st.ActiveStreams)},
 			{"scriptd_host_shed_conns_total", int64(st.ShedConns)},
 			{"scriptd_host_shed_enrollments_total", int64(st.ShedEnrollments)},
-			{"scriptd_host_conns_v1_total", int64(st.ConnsV1)},
 			{"scriptd_host_conns_v2_total", int64(st.ConnsV2)},
 			{"scriptd_instance_performances", int64(in.Performances())},
 			{"scriptd_instance_pending_offers", int64(in.PendingOffers())},
 			{"scriptd_instance_live_traces", int64(len(in.TraceContexts()))},
 		}
 		if reg != nil {
-			gauges = append(gauges, struct {
+			rows = append(rows, struct {
 				name string
 				val  int64
 			}{"scriptd_registry_members", int64(len(reg.Snapshot(script)))})
 		}
-		for _, g := range gauges {
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.val)
+		for _, r := range rows {
+			typ := "gauge"
+			if strings.HasSuffix(r.name, "_total") {
+				typ = "counter"
+			}
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", r.name, typ, r.name, r.val)
 		}
 	})
 	mux.Handle("/debug/vars", expvar.Handler())

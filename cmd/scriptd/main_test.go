@@ -198,6 +198,8 @@ func TestEndToEnd(t *testing.T) {
 		"script_performances_completed_total 2",
 		"scriptd_host_conns",
 		"trace_sampled_total",
+		"# TYPE scriptd_host_shed_conns_total counter",
+		"# TYPE scriptd_host_conns gauge",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

@@ -432,3 +432,61 @@ func TestDrainConcurrentWithEnrollStorm(t *testing.T) {
 func pidName(prefix string, i int) string {
 	return prefix + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
+
+// TestOpsAfterAbortReportTheAbort: once a performance is aborted, every
+// later communication fails with its *AbortError — even when the named
+// peer has already finished, which would otherwise read as ErrRoleFinished
+// and hide the culprit.
+func TestOpsAfterAbortReportTheAbort(t *testing.T) {
+	early := ids.Role("early")
+	errs := make(chan error, 3)
+	def, err := NewScript("aborted_late").
+		Role("early", func(rc Ctx) error { return nil }).
+		Role("culprit", func(rc Ctx) error {
+			for !rc.Terminated(early) {
+				time.Sleep(time.Millisecond)
+			}
+			rc.(*RoleCtx).AbortPerformance("culprit gave up")
+			return nil
+		}).
+		Role("late", func(rc Ctx) error {
+			<-rc.(*RoleCtx).PerformanceDone()
+			errs <- rc.Send(early, 1)
+			_, err := rc.Recv(early)
+			errs <- err
+			_, err = rc.Select(RecvFrom(early))
+			errs <- err
+			return nil
+		}).
+		Initiation(DelayedInitiation).
+		Termination(ImmediateTermination).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInstance(def)
+	defer in.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, role := range []string{"early", "culprit", "late"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = in.Enroll(ctx, Enrollment{PID: ids.PID(role), Role: ids.Role(role)})
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	n := 0
+	for err := range errs {
+		n++
+		var ae *AbortError
+		if !errors.As(err, &ae) || ae.Culprit != ids.Role("culprit") {
+			t.Errorf("op %d after abort: err = %v, want *AbortError blaming culprit", n, err)
+		}
+	}
+	if n != 3 {
+		t.Fatalf("late role ran %d ops, want 3", n)
+	}
+}

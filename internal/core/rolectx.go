@@ -278,6 +278,8 @@ func (rc *RoleCtx) Select(branches ...SelectBranch) (Selected, error) {
 		guardsTrue++
 		if !b.anyPeer {
 			switch rc.availability(b.peer) {
+			case peerAborted:
+				return Selected{}, rc.AbortErr()
 			case peerAbsent:
 				sawAbsent = true
 				continue
@@ -436,6 +438,9 @@ const (
 	peerAbsent
 	peerFinished
 	peerUnknown
+	// peerAborted: the performance itself was aborted, so every
+	// communication fails with its *AbortError whatever state r is in.
+	peerAborted
 )
 
 // availability classifies role r for communication purposes.
@@ -445,6 +450,9 @@ func (rc *RoleCtx) availability(r ids.RoleRef) peerState {
 	}
 	rc.inst.mu.Lock()
 	defer rc.inst.mu.Unlock()
+	if rc.perf.abortErr != nil {
+		return peerAborted
+	}
 	if rc.perf.finished.Contains(r) {
 		return peerFinished
 	}
@@ -466,15 +474,22 @@ func (rc *RoleCtx) precheck(to ids.RoleRef) error {
 		return fmt.Errorf("%w: %s", ErrRoleAbsent, to)
 	case peerFinished:
 		return fmt.Errorf("%w: %s", ErrRoleFinished, to)
+	case peerAborted:
+		return rc.AbortErr()
 	default:
 		return nil
 	}
 }
 
-// mapCommErr converts fabric errors into script-level errors.
+// mapCommErr converts fabric errors into script-level errors. A peer that
+// terminated because the performance was aborted reports the abort, not
+// the peer's exit.
 func (rc *RoleCtx) mapCommErr(peer ids.RoleRef, err error) error {
 	switch {
 	case errors.Is(err, rendezvous.ErrPeerTerminated):
+		if aerr := rc.AbortErr(); aerr != nil {
+			return aerr
+		}
 		if peer.Name != "" {
 			rc.inst.mu.Lock()
 			_, wasFilled := rc.perf.assigned[peer]

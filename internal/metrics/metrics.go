@@ -112,8 +112,8 @@ const (
 	// internal/rendezvous
 	FabricFastLaneOps = "fabric_fast_lane_ops_total"
 	FabricSlowLaneOps = "fabric_slow_lane_ops_total"
-	// internal/wire (handshakes negotiated at either end, by version)
-	WireConnsV1 = "wire_conns_v1_total"
+	// internal/wire (handshakes completed at either end; every connection
+	// speaks v2, the only protocol version)
 	WireConnsV2 = "wire_conns_v2_total"
 	// internal/wire session resumption: frames replayed after a reconnect,
 	// and frames the cumulative receipt count proved already delivered

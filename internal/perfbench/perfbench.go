@@ -11,13 +11,13 @@
 //	E4  script.Pool of 4 instances vs a single instance, 64 enrollers
 //	E5  fabric point-to-point ping-pong: fast lane vs forced slow lane
 //	E6  fabric star scatter to 64 recipients vs a loop of serial sends
-//	E7  remote star broadcast over loopback TCP: SCRW v2 (multiplexed,
-//	    binary codec) vs the v1 JSON lock-step transport, with the
-//	    in-process E1 workload as the absolute floor
+//	E7  remote star broadcast over loopback TCP: multiplexed connections
+//	    vs a dedicated connection per enrollment, with the in-process E1
+//	    workload as the absolute floor
 //	E8  goodput under saturation: 1×/2×/4× the host's admission cap,
-//	    with vs. without client retry, per wire protocol version
+//	    with vs. without client retry
 //	E9  wire codec round trip: one SEND + OP-RESULT frame pair through
-//	    the v2 binary codec vs the v1 JSON codec
+//	    the binary codec
 //	E10 observability overhead: the E1 and E3 workloads with 0.1%
 //	    probability-sampled tracing (async ring sink) vs untraced; a
 //	    delta_pct near zero is the "sampling is free when off-path" claim
@@ -32,12 +32,12 @@
 // Each Spec.Run executes under testing.Benchmark so iteration counts are
 // chosen the same way `go test -bench` chooses them. E5/E6 measure the
 // rendezvous fabric directly and record their own comparison run in
-// baseline_ns_per_op (fast vs slow lane, scatter vs serial); E7 and E9
-// record the v1-protocol run as theirs, so delta_pct is the improvement
-// v2 buys (positive = faster). E7 additionally reports the remote cost as
-// an explicit remote_over_in_process_ratio against the in-process E1
-// workload — the honest "how much does the wire cost" number that the
-// old signed delta_pct (-773%) obscured. E8 is the odd one out: it
+// baseline_ns_per_op (fast vs slow lane, scatter vs serial); E7 records
+// its dedicated-connection run as its own, so delta_pct is what
+// multiplexing buys (positive = faster). E7 additionally reports the
+// remote cost as an explicit remote_over_in_process_ratio against the
+// in-process E1 workload — the honest "how much does the wire cost"
+// number. E8 is the odd one out: it
 // drives fixed-duration load points instead of b.N iterations, reporting
 // completed-enrollment throughput and p99 latency per point in the
 // saturation array.
@@ -87,19 +87,18 @@ type Result struct {
 	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
 	DeltaPct        float64 `json:"delta_pct,omitempty"`
 
-	// E7 only: the protocol-comparison runs. V2LockstepNsPerOp is the v2
-	// codec with multiplexing off (MaxStreamsPerConn: 1, one dedicated
-	// conn per enrollment), isolating what pipelined multiplexing buys
-	// over the codec alone. InProcessNsPerOp is the identical workload
-	// without the wire (E1), and RemoteRatio = ns_per_op / in-process —
-	// the explicit "cost of the remote boundary" multiplier.
-	V1NsPerOp         float64 `json:"v1_ns_per_op,omitempty"`
+	// E7 only: the comparison runs. V2LockstepNsPerOp is the same workload
+	// with multiplexing off (MaxStreamsPerConn: 1, one dedicated conn per
+	// enrollment) — also E7's baseline — isolating what pipelined
+	// multiplexing buys. InProcessNsPerOp is the identical workload without
+	// the wire (E1), and RemoteRatio = ns_per_op / in-process — the
+	// explicit "cost of the remote boundary" multiplier.
 	V2LockstepNsPerOp float64 `json:"v2_lockstep_ns_per_op,omitempty"`
 	InProcessNsPerOp  float64 `json:"in_process_ns_per_op,omitempty"`
 	RemoteRatio       float64 `json:"remote_over_in_process_ratio,omitempty"`
 
 	// E8 only: one entry per offered-load point. The headline ns_per_op is
-	// the v2 4×-cap-with-retry point's per-completed-enrollment cost.
+	// the 4×-cap-with-retry point's per-completed-enrollment cost.
 	Saturation []SaturationPoint `json:"saturation,omitempty"`
 
 	// E10 only: each workload measured untraced and with 0.1% sampled
@@ -128,7 +127,6 @@ type Result struct {
 // on, one attempt may bounce several times). Throughput and p99 latency
 // cover completed attempts only.
 type SaturationPoint struct {
-	Protocol     int     `json:"protocol"`
 	LoadFactor   int     `json:"load_factor"`
 	Retry        bool    `json:"retry"`
 	Attempted    uint64  `json:"attempted"`
@@ -239,19 +237,19 @@ func Suite() []Spec {
 		{
 			ID:          "E7",
 			Name:        "remote-star-broadcast-64",
-			Description: "one StarBroadcast(64) performance per op with every role enrolled over loopback TCP (SCRW v2, multiplexed); baseline is the same workload over the v1 JSON lock-step transport; remote_over_in_process_ratio compares against the in-process E1 workload",
+			Description: "one StarBroadcast(64) performance per op with every role enrolled over loopback TCP (SCRW v2, multiplexed); baseline is the same workload with a dedicated connection per enrollment; remote_over_in_process_ratio compares against the in-process E1 workload",
 			Enrollers:   65,
 		},
 		{
 			ID:          "E8",
 			Name:        "goodput-under-saturation",
-			Description: "remote single-role enrollments at 1x/2x/4x the host's admission cap, with vs. without client retry, per wire protocol; per-point completed throughput and p99 latency",
+			Description: "remote single-role enrollments at 1x/2x/4x the host's admission cap, with vs. without client retry; per-point completed throughput and p99 latency",
 			Enrollers:   4 * saturationCap,
 		},
 		{
 			ID:          "E9",
 			Name:        "wire-codec-roundtrip",
-			Description: "encode+decode one SEND op frame and its OP-RESULT reply; v2 binary codec headline, v1 JSON codec baseline",
+			Description: "encode+decode one SEND op frame and its OP-RESULT reply through the binary codec",
 			Enrollers:   1,
 		},
 		{
@@ -303,12 +301,10 @@ func Suite() []Spec {
 		return withIntrinsicBaseline(finish(specs[5], scatter), serial)
 	}
 	specs[6].Run = func() Result {
-		v2 := runRemoteStar(64, remote.EnrollerConfig{})
-		v1 := runRemoteStar(64, remote.EnrollerConfig{MaxProtocolVersion: 1})
-		lockstep := runRemoteStar(64, remote.EnrollerConfig{MaxStreamsPerConn: 1})
-		res := withIntrinsicBaseline(finish(specs[6], v2), v1)
-		res.V1NsPerOp = nsPerOp(v1)
-		res.V2LockstepNsPerOp = nsPerOp(lockstep)
+		mux := runRemoteStar(64, remote.EnrollerConfig{})
+		dedicated := runRemoteStar(64, remote.EnrollerConfig{MaxStreamsPerConn: 1})
+		res := withIntrinsicBaseline(finish(specs[6], mux), dedicated)
+		res.V2LockstepNsPerOp = res.BaselineNsPerOp
 		res.InProcessNsPerOp = nsPerOp(runStarBroadcast(64))
 		if res.InProcessNsPerOp > 0 {
 			res.RemoteRatio = res.NsPerOp / res.InProcessNsPerOp
@@ -316,9 +312,7 @@ func Suite() []Spec {
 		return res
 	}
 	specs[7].Run = func() Result { return runSaturationSuite(specs[7]) }
-	specs[8].Run = func() Result {
-		return withIntrinsicBaseline(finish(specs[8], runCodec(2)), runCodec(1))
-	}
+	specs[8].Run = func() Result { return finish(specs[8], runCodec()) }
 	specs[9].Run = func() Result { return runSamplingSuite(specs[9]) }
 	specs[10].Run = func() Result { return runFleetSuite(specs[10]) }
 	specs[11].Run = func() Result { return runChurnSuite(specs[11]) }
@@ -529,9 +523,8 @@ func runPool(size int) testing.BenchmarkResult {
 // re-enroll forever through one shared Enroller, and the measured op is
 // one sender enrollment — a complete broadcast performance in which every
 // role body runs client-side, each communication op a request/response
-// frame pair. cfg selects the transport under test: default (v2,
-// multiplexed), MaxProtocolVersion: 1 (the JSON lock-step wire), or
-// MaxStreamsPerConn: 1 (v2 codec, dedicated conn per enrollment).
+// frame pair. cfg selects the connection mode under test: default
+// (multiplexed) or MaxStreamsPerConn: 1 (dedicated conn per enrollment).
 func runRemoteStar(n int, cfg remote.EnrollerConfig) testing.BenchmarkResult {
 	cfg.Script = "star_broadcast"
 	return testing.Benchmark(func(b *testing.B) {
@@ -601,10 +594,9 @@ const saturationWindow = 400 * time.Millisecond
 // its admission cap of concurrent single-role enrollments, once with the
 // client retry policy off (over-cap offers bounce with ErrOverloaded and
 // are lost goodput) and once with it on (sheds are retried under backoff
-// until admitted). The whole grid runs once per wire protocol so overload
-// behavior is comparable across v1 and v2. Each point reports completed-
-// enrollment throughput and the p99 latency of completions; the headline
-// ns_per_op is the v2 4×-with-retry point's per-completion cost.
+// until admitted). Each point reports completed-enrollment throughput and
+// the p99 latency of completions; the headline ns_per_op is the
+// 4×-with-retry point's per-completion cost.
 func runSaturationSuite(s Spec) Result {
 	res := Result{
 		ID:          s.ID,
@@ -612,30 +604,20 @@ func runSaturationSuite(s Spec) Result {
 		Description: s.Description,
 		Enrollers:   s.Enrollers,
 	}
-	for _, proto := range []int{1, 2} {
-		for _, factor := range []int{1, 2, 4} {
-			for _, retry := range []bool{false, true} {
-				res.Saturation = append(res.Saturation, runSaturationPoint(saturationCap, proto, factor, retry))
-			}
+	for _, factor := range []int{1, 2, 4} {
+		for _, retry := range []bool{false, true} {
+			res.Saturation = append(res.Saturation, runSaturationPoint(saturationCap, factor, retry))
 		}
 	}
-	headline := res.Saturation[len(res.Saturation)-1] // v2, 4× with retry
+	headline := res.Saturation[len(res.Saturation)-1] // 4× with retry
 	res.Iterations = int(headline.Completed)
 	if headline.Throughput > 0 {
 		res.NsPerOp = 1e9 / headline.Throughput
 	}
-	// The v1 grid's matching point, for the headline's protocol delta.
-	for _, p := range res.Saturation {
-		if p.Protocol == 1 && p.LoadFactor == headline.LoadFactor && p.Retry == headline.Retry && p.Throughput > 0 {
-			res.V1NsPerOp = 1e9 / p.Throughput
-			res.BaselineNsPerOp = res.V1NsPerOp
-			res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
-		}
-	}
 	return res
 }
 
-func runSaturationPoint(cap, proto, factor int, retry bool) SaturationPoint {
+func runSaturationPoint(cap, factor int, retry bool) SaturationPoint {
 	def := core.NewScript("slot").
 		Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
 		MustBuild()
@@ -652,8 +634,7 @@ func runSaturationPoint(cap, proto, factor int, retry bool) SaturationPoint {
 		// The breaker would turn sustained overload into client-local
 		// fail-fast rejections; E8 measures the host's shedding, so it is
 		// disabled for both modes.
-		Breaker:            remote.BreakerConfig{FailureThreshold: -1},
-		MaxProtocolVersion: proto,
+		Breaker: remote.BreakerConfig{FailureThreshold: -1},
 	}
 	if retry {
 		cfg.Retry = remote.RetryPolicy{
@@ -717,7 +698,6 @@ func runSaturationPoint(cap, proto, factor int, retry bool) SaturationPoint {
 		p99 = all[i]
 	}
 	return SaturationPoint{
-		Protocol:     proto,
 		LoadFactor:   factor,
 		Retry:        retry,
 		Attempted:    attempted.Load(),
@@ -1197,20 +1177,16 @@ func runPingPong(pairs int, forceSlow bool) testing.BenchmarkResult {
 // runCodec is E9: the codec cost of one remote communication op in
 // isolation — encode a SEND frame payload, decode it, encode the
 // OP-RESULT reply, decode that — with no sockets or scheduler in the
-// way. ver selects the codec: 1 is the per-frame encoding/json path, 2
-// the binary codec with its pooled-buffer append API (the benchmark
-// reuses one buffer exactly as wire.Conn's write path does).
-func runCodec(ver int) testing.BenchmarkResult {
+// way. The benchmark reuses one buffer exactly as wire.Conn's write path
+// does with its pooled buffers.
+func runCodec() testing.BenchmarkResult {
 	send := wire.Send{
 		To:  "recipient[7]",
 		Tag: "update",
 		Val: map[string]any{"seq": 42, "payload": "0123456789abcdef0123456789abcdef"},
 	}
 	reply := wire.OpResult{Val: []any{"ack", 42}, Peer: "recipient[7]", Tag: "update"}
-	var stream, seq uint64
-	if ver >= 2 {
-		stream, seq = 3, 17
-	}
+	const ver, stream, seq = wire.MaxVersion, 3, 17
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte

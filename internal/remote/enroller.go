@@ -90,14 +90,9 @@ type EnrollerConfig struct {
 	// multiple of the gossip interval.
 	StaleLoadAfter time.Duration
 
-	// MaxProtocolVersion caps the wire protocol version the enroller
-	// negotiates (0 = wire.MaxVersion). Setting 1 pins the client to the v1
-	// JSON protocol. Against a host that only speaks v1, the enroller falls
-	// back to v1 automatically regardless of this setting.
-	MaxProtocolVersion int
-	// MaxStreamsPerConn caps concurrent enrollments multiplexed onto one v2
+	// MaxStreamsPerConn caps concurrent enrollments multiplexed onto one
 	// connection (0 = DefaultMaxStreamsPerConn). 1 gives every enrollment a
-	// dedicated connection, v1-style, while keeping the v2 codec.
+	// dedicated connection.
 	MaxStreamsPerConn int
 }
 
@@ -106,9 +101,9 @@ type EnrollerConfig struct {
 const DefaultHeartbeatInterval = 3 * time.Second
 
 // Enroller enrolls this process into a script served by one or more remote
-// Hosts. Per host it keeps a pool of idle connections (sequential
-// enrollments reuse one connection, concurrent enrollments each get their
-// own) and a circuit breaker. The host set is either fixed
+// Hosts. Per host it keeps a pool of multiplexed connections (concurrent
+// enrollments share one, up to MaxStreamsPerConn streams each) and a
+// circuit breaker. The host set is either fixed
 // (NewEnrollerMulti) or follows a registry subscription
 // (NewEnrollerRegistry); each attempt picks a host by composing breaker
 // state, recent-shed demotion, and the configured Balancer.
@@ -136,19 +131,12 @@ type Enroller struct {
 	closed bool
 }
 
-// hostState is one host's address, connection pools (v1 idle connections
-// and v2 multiplexed connections), breaker, and last known load digest.
+// hostState is one host's address, multiplexed connection pool, breaker,
+// and last known load digest.
 type hostState struct {
 	addr string
 	brk  breaker
 
-	mu   sync.Mutex
-	idle []*clientConn
-
-	// proto caches the host's negotiated protocol (0 unknown, else the wire
-	// version the last handshake settled on); a host that answered v1 is
-	// not re-probed for v2.
-	proto atomic.Int32
 	// dialMu serializes dials so a concurrent burst of enrollments shares
 	// the first dial's stream capacity instead of stampeding.
 	dialMu sync.Mutex
@@ -314,8 +302,8 @@ func (e *Enroller) hostList() []*hostState {
 }
 
 // applyEndpoints replaces the host set with the registry's view, keeping
-// the state (breaker, pools, load history) of hosts that persist and
-// closing the pooled connections of hosts that left.
+// the state (breaker, pool, load history) of hosts that persist and
+// retiring the pooled connections of hosts that left.
 func (e *Enroller) applyEndpoints(eps []registry.Endpoint) {
 	now := time.Now()
 	e.hostsMu.Lock()
@@ -337,7 +325,7 @@ func (e *Enroller) applyEndpoints(eps []registry.Endpoint) {
 	}
 	e.hosts = hosts
 	e.hostsMu.Unlock()
-	// Hosts that left the view shed their idle connections; connections
+	// Hosts that left the view close their idle connections; connections
 	// with enrollments in flight are only retired — a draining host
 	// withdraws its announcement before waiting out in-flight work, so
 	// killing active streams here would abort exactly the performances the
@@ -345,13 +333,6 @@ func (e *Enroller) applyEndpoints(eps []registry.Endpoint) {
 	// a healthy host).
 	for _, hs := range old {
 		hostsRemoved.Inc()
-		hs.mu.Lock()
-		idle := hs.idle
-		hs.idle = nil
-		hs.mu.Unlock()
-		for _, cc := range idle {
-			cc.close()
-		}
 		hs.retireMuxes()
 	}
 }
@@ -408,26 +389,22 @@ func (e *Enroller) Close() error {
 		e.unsub()
 	}
 	for _, hs := range e.hostList() {
-		hs.mu.Lock()
-		idle := hs.idle
-		hs.idle = nil
-		hs.mu.Unlock()
-		for _, cc := range idle {
-			cc.close()
-		}
 		hs.retireMuxes()
 	}
 	return nil
 }
 
 // Retryable reports whether an Enroll failure is safe and useful to offer
-// again. Safe means no performance can have run: dial and handshake
+// again. Safe means the role body cannot have run: dial and handshake
 // failures, overload sheds, drain rejections, and open circuits all reject
-// the offer before any assignment. A lost connection after assignment
+// the offer before any assignment, and a connection lost before the host
+// acknowledged an assignment never started the body (a draining host
+// closing its connections, say). A lost connection after assignment
 // (ErrConnLost), an aborted performance, or a role-body error is not
 // retryable — work happened, and re-offering could duplicate it.
 func Retryable(err error) bool {
 	var re *core.RoleError
+	var ol *offerLostError
 	switch {
 	case err == nil:
 		return false
@@ -447,9 +424,30 @@ func Retryable(err error) bool {
 		return true
 	case errors.Is(err, ErrNoHosts):
 		return true
+	case errors.As(err, &ol):
+		return true
 	default:
 		return false
 	}
+}
+
+// offerLostError marks a connection lost while an offer awaited its
+// assignment. It still matches ErrConnLost, but Retryable accepts it: the
+// client never ran the role body, and a performance the host did assign
+// the offer to is aborted by the disconnect, so re-offering duplicates no
+// work.
+type offerLostError struct{ err error }
+
+func (e *offerLostError) Error() string { return e.err.Error() }
+func (e *offerLostError) Unwrap() error { return e.err }
+
+// offerLost marks a pre-assignment connection loss; a context error (the
+// caller withdrew) passes through unmarked.
+func offerLost(err error) error {
+	if errors.Is(err, ErrConnLost) {
+		return &offerLostError{err}
+	}
+	return err
 }
 
 // countsForBreaker reports whether a failure is evidence of an unhealthy
@@ -621,8 +619,8 @@ func (e *Enroller) noHostErr() error {
 // must be supplied in enr.Body, because the definition lives in the serving
 // process. The body runs in *this* process, against a Ctx whose operations
 // are proxied over the connection; ctx cancellation withdraws a pending
-// offer (and, mid-performance, severs the connection, aborting the
-// performance host-side with this role as culprit).
+// offer (and, mid-performance, cancels the enrollment's stream, aborting
+// the performance host-side with this role as culprit).
 //
 // Failures that reject the offer before any assignment (see Retryable) are
 // re-offered under cfg.Retry, rotating across hosts as circuit breakers
@@ -841,9 +839,7 @@ func (e *Enroller) enrollPinned(ctx context.Context, hs *hostState, enr core.Enr
 	}
 }
 
-// enrollOnce runs one offer against one host, start to release,
-// dispatching between the v2 multiplexed path and the v1 lock-step path
-// according to what the host negotiates.
+// enrollOnce runs one offer against one host, start to release.
 func (e *Enroller) enrollOnce(ctx context.Context, hs *hostState, enr core.Enrollment) (core.Result, error) {
 	e.mu.Lock()
 	closed := e.closed
@@ -851,168 +847,7 @@ func (e *Enroller) enrollOnce(ctx context.Context, hs *hostState, enr core.Enrol
 	if closed {
 		return core.Result{}, core.ErrClosed
 	}
-	if e.maxProto() >= 2 {
-		res, err, ok, cc := e.muxEnroll(ctx, hs, enr)
-		if ok {
-			return res, err
-		}
-		if cc != nil {
-			// The dial negotiated v1; spend the connection on the v1 path.
-			return e.enrollOnceV1(ctx, hs, enr, cc)
-		}
-	}
-	return e.enrollOnceV1(ctx, hs, enr, nil)
-}
-
-// enrollOnceV1 runs one offer over a dedicated v1 lock-step connection:
-// dialed if cc is nil, else the (freshly handshaken) connection handed in.
-func (e *Enroller) enrollOnceV1(ctx context.Context, hs *hostState, enr core.Enrollment, cc *clientConn) (core.Result, error) {
-	if cc == nil {
-		var err error
-		cc, err = e.conn(ctx, hs)
-		if err != nil {
-			return core.Result{}, err
-		}
-	}
-	healthy := false
-	defer func() {
-		if healthy {
-			e.putIdle(hs, cc)
-		} else {
-			cc.close()
-		}
-	}()
-
-	// The withdraw path: context cancellation severs the connection, which
-	// fails whatever read or write the enrollment is blocked in. The host
-	// maps it to an offer withdrawal (pending) or an abort (performing).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			cc.close()
-		case <-watchDone:
-		}
-	}()
-	wrapErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return fmt.Errorf("%w: %v", ErrConnLost, err)
-	}
-
-	msg := wire.Enroll{
-		PID:     string(enr.PID),
-		Role:    enr.Role.String(),
-		Args:    enr.Args,
-		With:    wire.EncodeWith(enr.With),
-		TraceID: enr.TraceID.String(),
-	}
-	if !enr.Deadline.IsZero() {
-		msg.DeadlineMS = enr.Deadline.UnixMilli()
-	}
-	if err := cc.c.WriteMsg(wire.MsgEnroll, msg); err != nil {
-		return core.Result{}, wrapErr(err)
-	}
-
-	// Await assignment (or rejection).
-	var ack wire.OfferAck
-await:
-	for {
-		t, payload, err := cc.c.ReadMsg()
-		if err != nil {
-			return core.Result{}, wrapErr(err)
-		}
-		switch t {
-		case wire.MsgOfferAck:
-			if err := wire.Decode(payload, &ack); err != nil {
-				return core.Result{}, wrapErr(err)
-			}
-			break await
-		case wire.MsgDrain:
-			// The host is draining; its network side is going away, so the
-			// connection is not worth pooling.
-			return core.Result{}, core.ErrDraining
-		case wire.MsgComplete:
-			// Rejected before any performance: unknown role, closed, shed by
-			// admission control (ErrOverloaded), ...
-			var cm wire.Complete
-			if err := wire.Decode(payload, &cm); err != nil {
-				return core.Result{}, wrapErr(err)
-			}
-			if cm.Err != nil {
-				// The host stays healthy and lock-step: rejection is a clean
-				// exchange, so the connection is reusable.
-				healthy = true
-				return core.Result{}, cm.Err.Err()
-			}
-			return core.Result{}, fmt.Errorf("%w: COMPLETE before OFFER-ACK", ErrConnLost)
-		case wire.MsgError:
-			var pe wire.ProtoError
-			_ = wire.Decode(payload, &pe)
-			return core.Result{}, fmt.Errorf("script/remote: host error: %s", pe.Msg)
-		default:
-			return core.Result{}, fmt.Errorf("script/remote: unexpected %s awaiting offer", t)
-		}
-	}
-
-	role := enr.Role
-	if r, err := wire.DecodeRoleRef(ack.Role); err == nil {
-		role = r
-	}
-	rctx := &remoteCtx{
-		ParamBag: core.ParamBag{In: enr.Args},
-		ctx:      ctx,
-		cc:       cc,
-		faults:   e.cfg.Faults,
-		role:     role,
-		pid:      enr.PID,
-		perf:     ack.Performance,
-	}
-	e.bindTrace(rctx, ack.TraceID, enr.TraceID)
-	rctx.trace(trace.Event{Kind: trace.KindStart})
-	bodyErr := runClientBody(enr.Body, rctx)
-	rctx.trace(trace.Event{Kind: trace.KindFinish})
-	if err := cc.c.WriteMsg(wire.MsgBodyDone, wire.BodyDone{
-		Results: rctx.Out,
-		Err:     wire.EncodeError(bodyErr),
-	}); err != nil {
-		return core.Result{}, wrapErr(err)
-	}
-
-	// Await release.
-	for {
-		t, payload, err := cc.c.ReadMsg()
-		if err != nil {
-			return core.Result{}, wrapErr(err)
-		}
-		switch t {
-		case wire.MsgAbort:
-			continue // already reflected in the COMPLETE to come
-		case wire.MsgComplete:
-			var cm wire.Complete
-			if err := wire.Decode(payload, &cm); err != nil {
-				return core.Result{}, wrapErr(err)
-			}
-			if cm.Err != nil {
-				healthy = true
-				return core.Result{}, cm.Err.Err()
-			}
-			res := core.Result{Performance: cm.Performance, Role: role, Values: cm.Values, TraceID: rctx.tid}
-			if r, err := wire.DecodeRoleRef(cm.Role); err == nil {
-				res.Role = r
-			}
-			healthy = true
-			return res, nil
-		case wire.MsgError:
-			var pe wire.ProtoError
-			_ = wire.Decode(payload, &pe)
-			return core.Result{}, fmt.Errorf("script/remote: host error: %s", pe.Msg)
-		default:
-			return core.Result{}, fmt.Errorf("script/remote: unexpected %s awaiting release", t)
-		}
-	}
+	return e.muxEnroll(ctx, hs, enr)
 }
 
 // runClientBody runs the body with the same panic containment the local
@@ -1025,67 +860,6 @@ func runClientBody(body core.RoleBody, rc core.Ctx) (err error) {
 		}
 	}()
 	return body(rc)
-}
-
-// conn pops an idle connection (reclaiming it from its idle watcher) or
-// dials a fresh one.
-func (e *Enroller) conn(ctx context.Context, hs *hostState) (*clientConn, error) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return nil, core.ErrClosed
-	}
-	for {
-		hs.mu.Lock()
-		if len(hs.idle) == 0 {
-			hs.mu.Unlock()
-			break
-		}
-		cc := hs.idle[len(hs.idle)-1]
-		hs.idle = hs.idle[:len(hs.idle)-1]
-		hs.mu.Unlock()
-		if cc.claimIdle() {
-			return cc, nil
-		}
-		cc.close()
-	}
-	return e.dial(ctx, hs.addr)
-}
-
-// putIdle returns a connection to its host's pool and posts an idle watcher
-// on it, so a host-side close is noticed (and the heartbeat pump stopped)
-// the moment it happens rather than at the next checkout.
-func (e *Enroller) putIdle(hs *hostState, cc *clientConn) {
-	if cc.dead.Load() || hs.gone.Load() {
-		cc.close()
-		return
-	}
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	hs.mu.Lock()
-	if closed {
-		hs.mu.Unlock()
-		cc.close()
-		return
-	}
-	cc.startIdleWatch()
-	hs.idle = append(hs.idle, cc)
-	hs.mu.Unlock()
-}
-
-// dial establishes and handshakes one dedicated v1 connection with its
-// heartbeat pump. The version is pinned to 1: pooled lock-step connections
-// must never negotiate v2 (the v2 pool is hostState.muxes).
-func (e *Enroller) dial(ctx context.Context, addr string) (*clientConn, error) {
-	c, ack, err := e.dialRaw(ctx, addr, 1)
-	if err != nil {
-		return nil, err
-	}
-	cc := &clientConn{c: c, stop: make(chan struct{})}
-	go cc.heartbeat(effectiveHeartbeat(e.cfg.HeartbeatInterval, ack.HeartbeatTimeoutMS), e.cfg.Faults)
-	return cc, nil
 }
 
 // effectiveHeartbeat guards against the classic config footgun: a client
@@ -1108,13 +882,12 @@ func effectiveHeartbeat(interval time.Duration, hostTimeoutMS int64) time.Durati
 	return time.Millisecond
 }
 
-// dialRaw establishes and handshakes one connection, negotiating up to
-// maxVer; v2-capable dials ask for session resumption (granted in the ack
-// only when the host has a resume window configured). Failures wrap
-// ErrDialFailed — except an overload rejection of the handshake itself
-// (the host's connection cap), which surfaces as the *core.OverloadError
-// it is.
-func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.Conn, wire.HelloAck, error) {
+// dialRaw establishes and handshakes one connection, asking for session
+// resumption (granted in the ack only when the host has a resume window
+// configured). Failures wrap ErrDialFailed — except an overload rejection
+// of the handshake itself (the host's connection cap), which surfaces as
+// the *core.OverloadError it is.
+func (e *Enroller) dialRaw(ctx context.Context, addr string) (*wire.Conn, wire.HelloAck, error) {
 	d := net.Dialer{Timeout: e.cfg.DialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -1127,7 +900,7 @@ func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.
 	if e.cfg.Faults != nil {
 		c.SetFrameDelay(e.cfg.Faults.FrameDelay)
 	}
-	ack, err := wire.ClientHandshakeResume(c, e.cfg.Script, maxVer, maxVer >= 2)
+	ack, err := wire.ClientHandshakeResume(c, e.cfg.Script, true)
 	if err != nil {
 		c.Close()
 		if errors.Is(err, core.ErrOverloaded) {
@@ -1141,113 +914,18 @@ func (e *Enroller) dialRaw(ctx context.Context, addr string, maxVer int) (*wire.
 	return c, ack, nil
 }
 
-// clientConn is one pooled connection with its heartbeat pump and, while
-// idle in the pool, an idle watcher.
-type clientConn struct {
-	c    *wire.Conn
-	stop chan struct{}
-	once sync.Once
-	dead atomic.Bool
-
-	idleMu      sync.Mutex
-	idleClaimed bool
-	idleDone    chan struct{} // non-nil while an idle watcher runs
-}
-
-func (cc *clientConn) close() {
-	cc.dead.Store(true)
-	cc.once.Do(func() { close(cc.stop) })
-	cc.c.Close()
-}
-
-// startIdleWatch posts a goroutine that blocks reading the idle connection.
-// The host never sends unsolicited frames, so the read resolving means the
-// connection is finished: EOF or reset when the host closes it (the watcher
-// then close()s the conn, stopping the heartbeat pump deterministically),
-// or a deadline error when claimIdle reclaims the conn for the next
-// enrollment.
-func (cc *clientConn) startIdleWatch() {
-	done := make(chan struct{})
-	cc.idleMu.Lock()
-	cc.idleClaimed = false
-	cc.idleDone = done
-	cc.idleMu.Unlock()
-	go func() {
-		defer close(done)
-		_, _, err := cc.c.ReadMsg()
-		cc.idleMu.Lock()
-		claimed := cc.idleClaimed
-		cc.idleMu.Unlock()
-		var ne net.Error
-		if claimed && errors.As(err, &ne) && ne.Timeout() && cc.c.Buffered() == 0 {
-			// Cleanly reclaimed: the deadline broke the read between frames,
-			// nothing was half-consumed, the connection is reusable.
-			return
-		}
-		// Host-side close, an unexpected frame (err == nil), or a reclaim
-		// that caught a partial frame: the connection is done for.
-		cc.close()
-	}()
-}
-
-// claimIdle reclaims the connection from its idle watcher and reports
-// whether it is still usable.
-func (cc *clientConn) claimIdle() bool {
-	cc.idleMu.Lock()
-	done := cc.idleDone
-	cc.idleDone = nil
-	cc.idleClaimed = true
-	cc.idleMu.Unlock()
-	if done != nil {
-		cc.c.BreakRead()
-		<-done
-		cc.c.UnbreakRead()
-	}
-	return !cc.dead.Load()
-}
-
-// heartbeat keeps the host's silence clock from expiring while the body
-// computes between operations. Frame writes are serialized with the body's
-// by the connection's write lock. It exits when the connection is closed
-// (cc.stop) or a write fails.
-func (cc *clientConn) heartbeat(interval time.Duration, faults NetFaults) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-cc.stop:
-			return
-		case <-t.C:
-			if faults != nil {
-				if d := faults.StallHeartbeat(); d > 0 {
-					select {
-					case <-cc.stop:
-						return
-					case <-time.After(d):
-					}
-				}
-			}
-			if cc.c.WriteMsg(wire.MsgHeartbeat, wire.Heartbeat{}) != nil {
-				cc.dead.Store(true)
-				return
-			}
-		}
-	}
-}
-
 // remoteCtx is the client-side Ctx: the body's view of a performance whose
 // coordination state lives in the serving process. Every communication and
-// predicate is one request/response exchange; data parameters and results
-// stay local (they cross the wire at ENROLL and BODY-DONE).
+// predicate is one request/response exchange on the enrollment's stream;
+// data parameters and results stay local (they cross the wire at ENROLL and
+// BODY-DONE).
 type remoteCtx struct {
 	core.ParamBag
-	ctx    context.Context
-	cc     *clientConn // v1 lock-step transport (nil on v2)
-	st     *muxStream  // v2 pipelined stream (nil on v1)
-	faults NetFaults   // v1 only: chaos cut injection (v2 consults the mux)
-	role   ids.RoleRef
-	pid    ids.PID
-	perf   int
+	ctx  context.Context
+	st   *muxStream
+	role ids.RoleRef
+	pid  ids.PID
+	perf int
 	// abortErr, once set, fails every subsequent operation locally: the
 	// host told us (via ABORT or an operation result) that the performance
 	// was aborted. Mirrors the local semantics — the body keeps running,
@@ -1300,10 +978,9 @@ func (r *remoteCtx) Index() int               { return r.role.Index }
 func (r *remoteCtx) PID() ids.PID             { return r.pid }
 func (r *remoteCtx) Performance() int         { return r.perf }
 
-// op runs one operation exchange: on a v2 stream a pipelined
-// sequence-matched request, on v1 a lock-step request/response where the
-// host answers every operation with exactly one OP-RESULT, possibly
-// preceded by an ABORT notification.
+// op runs one pipelined, sequence-matched operation exchange on the
+// enrollment's stream, mapping the outcome onto the local runtime's
+// abort/cancel semantics.
 func (r *remoteCtx) op(t wire.MsgType, req any) (wire.OpResult, error) {
 	if r.abortErr != nil {
 		return wire.OpResult{}, r.abortErr
@@ -1311,57 +988,6 @@ func (r *remoteCtx) op(t wire.MsgType, req any) (wire.OpResult, error) {
 	if err := r.ctx.Err(); err != nil {
 		return wire.OpResult{}, err
 	}
-	if r.st != nil {
-		return r.opMux(t, req)
-	}
-	if r.faults != nil && r.faults.CutConn() {
-		// Injected client-side blip. v1 has no resumption, so the cut must
-		// surface as today's ErrConnLost abort taxonomy.
-		r.cc.close()
-	}
-	if err := r.cc.c.WriteMsg(t, req); err != nil {
-		return wire.OpResult{}, r.netErr(err)
-	}
-	for {
-		mt, payload, err := r.cc.c.ReadMsg()
-		if err != nil {
-			return wire.OpResult{}, r.netErr(err)
-		}
-		switch mt {
-		case wire.MsgAbort:
-			var a wire.Abort
-			if err := wire.Decode(payload, &a); err == nil {
-				r.abortErr = (&wire.ErrInfo{
-					Code:        wire.CodeAborted,
-					Performance: a.Performance,
-					Culprit:     a.Culprit,
-					Reason:      a.Reason,
-				}).Err()
-			}
-			continue
-		case wire.MsgOpResult:
-			var res wire.OpResult
-			if err := wire.Decode(payload, &res); err != nil {
-				return wire.OpResult{}, r.netErr(err)
-			}
-			if res.Err != nil {
-				opErr := res.Err.Err()
-				if errors.Is(opErr, core.ErrPerformanceAborted) {
-					r.abortErr = opErr
-				}
-				return wire.OpResult{}, opErr
-			}
-			return res, nil
-		default:
-			r.cc.dead.Store(true)
-			return wire.OpResult{}, fmt.Errorf("script/remote: unexpected %s awaiting OP-RESULT", mt)
-		}
-	}
-}
-
-// opMux runs one op on the v2 stream, mapping the outcome onto the same
-// abort/cancel semantics as the lock-step path.
-func (r *remoteCtx) opMux(t wire.MsgType, req any) (wire.OpResult, error) {
 	if aerr := r.st.abortError(); aerr != nil {
 		r.abortErr = aerr
 		return wire.OpResult{}, aerr
@@ -1386,14 +1012,6 @@ func (r *remoteCtx) opMux(t wire.MsgType, req any) (wire.OpResult, error) {
 		return wire.OpResult{}, opErr
 	}
 	return res, nil
-}
-
-func (r *remoteCtx) netErr(err error) error {
-	r.cc.dead.Store(true)
-	if cerr := r.ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return fmt.Errorf("%w: %v", ErrConnLost, err)
 }
 
 func (r *remoteCtx) Send(to ids.RoleRef, v any) error { return r.SendTag(to, "", v) }

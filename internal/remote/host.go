@@ -59,14 +59,7 @@ type HostConfig struct {
 	// admission layer.
 	RetryAfter time.Duration
 
-	// MaxProtocolVersion caps the wire protocol version the host will
-	// negotiate (0 = wire.MaxVersion). Setting 1 pins the host to the v1
-	// JSON protocol — useful for staged rollouts and for testing clients'
-	// fallback path.
-	MaxProtocolVersion int
-
-	// ResumeWindow, when positive, enables session resumption on v2
-	// connections: a connection that dies with live streams parks them for
+	// ResumeWindow, when positive, enables session resumption: a connection that dies with live streams parks them for
 	// this grace window instead of aborting their performances, and a
 	// client redialing with the session token within the window re-attaches
 	// invisibly (both sides replay unacked frames). 0 disables — every
@@ -116,7 +109,7 @@ type Host struct {
 	closed   bool
 	draining bool // set by Drain under mu; new ENROLLs answer DRAIN at once
 
-	// sessions indexes every live resumable v2 session by its token —
+	// sessions indexes every live resumable session by its token —
 	// attached and parked alike, so a RESUME can adopt a session even when
 	// the client noticed the break before the host did. Guarded by mu.
 	sessions map[string]*hostSession
@@ -130,14 +123,13 @@ type Host struct {
 	enrolling   atomic.Int64
 	shedConns   atomic.Uint64
 	shedEnrolls atomic.Uint64
-	// connsV1/connsV2 count accepted connections by negotiated protocol
-	// version; activeStreams counts currently-open v2 multiplexed streams.
-	connsV1       atomic.Uint64
+	// connsV2 counts connections accepted past the handshake;
+	// activeStreams counts currently-open multiplexed streams.
 	connsV2       atomic.Uint64
 	activeStreams atomic.Int64
 
 	connWG   sync.WaitGroup // connection handlers
-	enrollWG sync.WaitGroup // in-flight handleEnroll calls (Drain waits on it)
+	enrollWG sync.WaitGroup // admitted enrollments in serveStream (Drain waits on it)
 }
 
 // HostStats is a snapshot of the host's admission-control and connection
@@ -152,14 +144,13 @@ type HostStats struct {
 	ShedConns uint64
 	// ShedEnrollments counts enrollments shed with ErrOverloaded.
 	ShedEnrollments uint64
-	// ActiveStreams is the number of currently-open v2 multiplexed streams
-	// (concurrent enrollment conversations across all v2 connections).
+	// ActiveStreams is the number of currently-open multiplexed streams
+	// (concurrent enrollment conversations across all connections).
 	ActiveStreams int
-	// ConnsV1 / ConnsV2 count connections accepted since the host started,
-	// by negotiated wire protocol version.
-	ConnsV1 uint64
+	// ConnsV2 counts connections accepted past the handshake since the host
+	// started (every connection speaks v2, the only protocol version).
 	ConnsV2 uint64
-	// Sessions is the number of resumable v2 sessions currently registered,
+	// Sessions is the number of resumable sessions currently registered,
 	// attached and parked alike.
 	Sessions int
 }
@@ -181,7 +172,6 @@ func (h *Host) Stats() HostStats {
 		ShedConns:       h.shedConns.Load(),
 		ShedEnrollments: h.shedEnrolls.Load(),
 		ActiveStreams:   int(h.activeStreams.Load()),
-		ConnsV1:         h.connsV1.Load(),
 		ConnsV2:         h.connsV2.Load(),
 	}
 }
@@ -396,37 +386,20 @@ func (h *Host) untrack(c *wire.Conn) {
 	h.mu.Unlock()
 }
 
-// frame is one message pulled off a v1 connection by its reader.
-type frame struct {
-	typ     wire.MsgType
-	payload []byte
-}
-
-// hostOp is one decoded client operation, the unit both protocol paths
-// feed to the bridge: m is the concrete message struct (decoded before
-// routing, so v2's reused read buffer is never retained), seq the v2
-// pipelining sequence the OP-RESULT must echo (0 on v1), and err a decode
-// failure to be answered in-band.
+// hostOp is one decoded client operation, the unit the read loop feeds to
+// the bridge: m is the concrete message struct (decoded before routing, so
+// the connection's reused read buffer is never retained) and seq the
+// pipelining sequence the OP-RESULT must echo.
 type hostOp struct {
 	typ wire.MsgType
 	seq uint64
 	m   any
-	err error
 }
 
-// maxProto is the newest protocol version the host negotiates.
-func (h *Host) maxProto() int {
-	if h.cfg.MaxProtocolVersion > 0 {
-		return h.cfg.MaxProtocolVersion
-	}
-	return wire.MaxVersion
-}
-
-// serveConn runs one client connection: handshake, then enrollments —
-// sequential on a v1 connection, multiplexed streams on v2. A dedicated
-// reader (the v1 reader goroutine; the v2 loop itself) pulls frames under
-// the heartbeat read deadline so a silent or severed connection is noticed
-// even while a bridge body is blocked inside the fabric.
+// serveConn runs one client connection: handshake, then multiplexed
+// enrollment streams. The read loop pulls frames under the heartbeat read
+// deadline so a silent or severed connection is noticed even while a
+// bridge body is blocked inside the fabric.
 func (h *Host) serveConn(nc net.Conn) {
 	defer h.connWG.Done()
 	c := wire.NewConn(nc)
@@ -465,13 +438,13 @@ func (h *Host) serveConn(nc net.Conn) {
 	// The handshake advertises the host's heartbeat timeout (so a client
 	// with a slower pump can tighten it below the host's silence bound) and,
 	// when resumption is enabled and the client asked for it, mints a
-	// session token the client presents in a later RESUME. v1 clients and
-	// v2 clients that did not set Hello.Resume see neither field and keep
-	// exact pre-resumption semantics.
+	// session token the client presents in a later RESUME. Clients that
+	// did not set Hello.Resume get no token and keep exact pre-resumption
+	// semantics.
 	var resumeToken string
-	if _, err := wire.ServerHandshakeVExt(c, h.script, h.maxProto(), func(hl wire.Hello, ack *wire.HelloAck) {
+	if _, err := wire.ServerHandshakeVExt(c, h.script, func(hl wire.Hello, ack *wire.HelloAck) {
 		ack.HeartbeatTimeoutMS = h.cfg.HeartbeatTimeout.Milliseconds()
-		if ack.Version >= 2 && hl.Resume && h.cfg.ResumeWindow > 0 {
+		if hl.Resume && h.cfg.ResumeWindow > 0 {
 			resumeToken = mintSessionToken()
 			if resumeToken != "" {
 				ack.ResumeToken = resumeToken
@@ -482,42 +455,8 @@ func (h *Host) serveConn(nc net.Conn) {
 		h.logf("remote: %s: handshake: %v", c.RemoteAddr(), err)
 		return
 	}
-	if c.Version() >= 2 {
-		h.connsV2.Add(1)
-		h.serveConnV2(c, resumeToken)
-		return
-	}
-	h.connsV1.Add(1)
-
-	frames := make(chan frame, 4)
-	go func() {
-		defer close(frames)
-		for {
-			t, payload, err := c.ReadMsg()
-			if err != nil {
-				return
-			}
-			if t == wire.MsgHeartbeat {
-				continue
-			}
-			if h.cfg.Faults != nil && h.cfg.Faults.DropConn() {
-				c.Close()
-				return
-			}
-			frames <- frame{t, payload}
-		}
-	}()
-
-	for fr := range frames {
-		if fr.typ != wire.MsgEnroll {
-			h.logf("remote: %s: protocol violation: %s outside an enrollment", c.RemoteAddr(), fr.typ)
-			_ = c.WriteMsg(wire.MsgError, wire.ProtoError{Msg: fmt.Sprintf("expected ENROLL, got %s", fr.typ)})
-			return
-		}
-		if !h.handleEnroll(c, frames, fr.payload) {
-			return
-		}
-	}
+	h.connsV2.Add(1)
+	h.serveConnV2(c, resumeToken)
 }
 
 // enrollVerdict is the admission decision for one ENROLL frame.
@@ -560,146 +499,21 @@ func (h *Host) admitEnroll() (enrollVerdict, string) {
 	return enrollAdmit, ""
 }
 
-// handleEnroll runs one enrollment conversation. It returns false when the
-// connection is no longer usable.
-func (h *Host) handleEnroll(c *wire.Conn, frames <-chan frame, payload []byte) bool {
-	var m wire.Enroll
-	if err := wire.Decode(payload, &m); err != nil {
-		_ = c.WriteMsg(wire.MsgError, wire.ProtoError{Msg: "malformed ENROLL"})
-		return false
-	}
-	role, err := wire.DecodeRoleRef(m.Role)
-	if err != nil {
-		return h.complete(c, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
-	}
-	switch verdict, reason := h.admitEnroll(); verdict {
-	case enrollClosed:
-		return false
-	case enrollDrain:
-		return c.WriteMsg(wire.MsgDrain, wire.Drain{}) == nil
-	case enrollShed:
-		h.shedEnrolls.Add(1)
-		shedEnrollsTotal.Inc()
-		h.logf("remote: %s: shedding ENROLL for %s: %s", c.RemoteAddr(), role, reason)
-		return h.complete(c, role, core.Result{}, &core.OverloadError{
-			Script:     h.script,
-			RetryAfter: h.retryAfterHint(),
-			Reason:     reason,
-		})
-	}
-	defer h.enrollWG.Done()
-	defer h.enrolling.Add(-1)
-
-	with, err := wire.DecodeWith(m.With)
-	if err != nil {
-		return h.complete(c, role, core.Result{}, err)
-	}
-
-	b := &bridge{conn: c, opCh: make(chan hostOp, 4), quit: make(chan struct{})}
-	e := core.Enrollment{
-		PID:  ids.PID(m.PID),
-		Role: role,
-		Args: m.Args,
-		With: with,
-		Body: b.run,
-	}
-	if m.DeadlineMS > 0 {
-		e.Deadline = time.UnixMilli(m.DeadlineMS)
-	}
-	// A malformed client trace ID is not worth failing the call over — the
-	// enrollment just runs without the client's timeline.
-	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
-
-	ctx, cancel := context.WithCancel(h.baseCtx)
-	defer cancel()
-	type enrollRes struct {
-		res core.Result
-		err error
-	}
-	resCh := make(chan enrollRes, 1)
-	go func() {
-		res, err := h.target.Enroll(ctx, e)
-		resCh <- enrollRes{res, err}
-	}()
-
-	for {
-		select {
-		case r := <-resCh:
-			return h.complete(c, role, r.res, r.err)
-		case fr, ok := <-frames:
-			if !ok {
-				// The connection died (read error or heartbeat silence):
-				// reclaim the performance, blaming the vanished enroller,
-				// and withdraw a still-pending offer.
-				h.logf("remote: %s: enroller for %s disconnected", c.RemoteAddr(), role)
-				b.disconnect("remote enroller disconnected")
-				cancel()
-				<-resCh
-				return false
-			}
-			select {
-			case b.opCh <- decodeOpV1(fr):
-			default:
-				// Lock-step protocol: more than a few outstanding frames
-				// means a misbehaving client.
-				b.disconnect("protocol violation: operation flood")
-				cancel()
-				<-resCh
-				_ = c.WriteMsg(wire.MsgError, wire.ProtoError{Msg: "operation flood"})
-				return false
-			}
-		}
-	}
-}
-
-// complete reports the enrollment's outcome to the client. It returns
-// false when the connection is no longer usable.
-func (h *Host) complete(c *wire.Conn, role ids.RoleRef, res core.Result, err error) bool {
-	if errors.Is(err, core.ErrDraining) {
-		return c.WriteMsg(wire.MsgDrain, wire.Drain{}) == nil
-	}
-	msg := wire.Complete{
-		Performance: res.Performance,
-		Role:        role.String(),
-		Values:      res.Values,
-		Err:         wire.EncodeError(err),
-	}
-	if res.Role.Name != "" {
-		msg.Role = res.Role.String()
-	}
-	return c.WriteMsg(wire.MsgComplete, msg) == nil
-}
-
-// decodeOpV1 decodes one v1 op frame into the bridge's unit of work. Op
-// types the v1 codec knows are decoded here (a failure travels in-band via
-// hostOp.err); anything else passes through for serveOp's unexpected-type
-// answer.
-func decodeOpV1(fr frame) hostOp {
-	switch fr.typ {
-	case wire.MsgSend, wire.MsgSendAll, wire.MsgRecv, wire.MsgRecvAny,
-		wire.MsgSelect, wire.MsgQuery, wire.MsgBodyDone:
-		_, _, m, err := wire.ParsePayload(1, fr.typ, fr.payload)
-		return hostOp{typ: fr.typ, m: m, err: err}
-	default:
-		return hostOp{typ: fr.typ}
-	}
-}
-
 // bridge is the server-side stand-in for a remote role body: it is
 // installed as the Enrollment.Body override, so the scheduler runs it on
 // the enroller's behalf. It relays the client's operation frames into the
 // real RoleCtx (and so into the shared fabric) and the results back out.
-// On a v2 connection it writes stream-addressed frames (streamID) and
-// echoes each op's sequence ID on its OP-RESULT.
+// It writes stream-addressed frames (streamID) and echoes each op's
+// sequence ID on its OP-RESULT.
 type bridge struct {
-	conn     *wire.Conn  // v1 only: the lock-step connection
-	fw       frameWriter // v2 only: the session (resumable) or bare conn
+	fw       frameWriter // the session (resumable) or bare conn
 	opCh     chan hostOp
 	quit     chan struct{}
-	v2       bool
 	streamID uint64
 
 	once sync.Once
+	// quitReason is disconnect's reason, set before quit closes.
+	quitReason string
 
 	mu       sync.Mutex
 	rc       core.Ctx
@@ -707,20 +521,16 @@ type bridge struct {
 	finished bool
 }
 
-// frameWriter is where a v2 bridge's frames go: the bare connection, or a
+// frameWriter is where a bridge's frames go: the bare connection, or a
 // wire.Session that retains them for replay across reconnects — in which
 // case a transient transport loss never surfaces as a write error here.
 type frameWriter interface {
 	WriteFrame(t wire.MsgType, stream, seq uint64, m any) error
 }
 
-// write sends one frame to the bridge's enroller with the connection's
-// negotiated codec.
+// write sends one frame on the bridge's stream.
 func (b *bridge) write(t wire.MsgType, seq uint64, m any) error {
-	if b.v2 {
-		return b.fw.WriteFrame(t, b.streamID, seq, m)
-	}
-	return b.conn.WriteMsg(t, m)
+	return b.fw.WriteFrame(t, b.streamID, seq, m)
 }
 
 var errEnrollerLost = fmt.Errorf("%w: enroller disconnected mid-performance", ErrConnLost)
@@ -749,14 +559,14 @@ func (b *bridge) run(rc core.Ctx) error {
 		ack.TraceID = tr.TraceID().String()
 	}
 	if err := b.write(wire.MsgOfferAck, 0, ack); err != nil {
-		b.abortVia(rc, "write failure delivering offer")
+		b.abortVia(rc, "remote enroller disconnected: write failure delivering offer")
 		return fmt.Errorf("remote: offer ack: %w", err)
 	}
 
 	// donech lets an idle bridge notice the performance aborting under it
 	// (deadline, a co-performer's disconnect) and tell the client, which
-	// then fails its subsequent operations locally. The protocol stays in
-	// lock-step: the bridge keeps serving until BODY-DONE arrives.
+	// then fails its subsequent operations locally. The bridge keeps
+	// serving until BODY-DONE arrives.
 	var donech <-chan struct{}
 	if po, ok := rc.(perfObserver); ok {
 		donech = po.PerformanceDone()
@@ -764,6 +574,12 @@ func (b *bridge) run(rc core.Ctx) error {
 	for {
 		select {
 		case <-b.quit:
+			// disconnect aborted the performance if the body had started.
+			// If it raced the assignment (the enroller vanished while the
+			// offer was being matched), abort here: returning alone would
+			// leave co-performers facing a finished role instead of a
+			// culprit-attributed abort.
+			b.abortVia(rc, b.quitReason)
 			return errEnrollerLost
 		case <-donech:
 			donech = nil
@@ -778,24 +594,14 @@ func (b *bridge) run(rc core.Ctx) error {
 			}
 		case op := <-b.opCh:
 			if op.typ == wire.MsgBodyDone {
-				if op.err != nil {
-					b.abortVia(rc, "malformed BODY-DONE")
-					return fmt.Errorf("remote: malformed BODY-DONE: %v", op.err)
-				}
 				bd := op.m.(*wire.BodyDone)
 				rc.Return(bd.Results...)
 				return bd.Err.Err()
 			}
-			var res wire.OpResult
-			if op.err != nil {
-				res = wire.OpResult{Err: wire.EncodeError(op.err)}
-			} else {
-				res = serveOp(rc, op)
-			}
-			if err := b.write(wire.MsgOpResult, op.seq, res); err != nil {
+			if err := b.write(wire.MsgOpResult, op.seq, serveOp(rc, op)); err != nil {
 				// The client cannot learn this op's outcome; the
 				// enrollment is unrecoverable.
-				b.abortVia(rc, "write failure delivering operation result")
+				b.abortVia(rc, "remote enroller disconnected: write failure delivering operation result")
 				return fmt.Errorf("remote: op result: %w", err)
 			}
 		}
@@ -813,6 +619,7 @@ func (b *bridge) disconnect(reason string) {
 		if started && !finished {
 			b.abortVia(rc, reason)
 		}
+		b.quitReason = reason
 		close(b.quit)
 	})
 }

@@ -24,14 +24,11 @@ import (
 // its performances, and a client redialing with the session token within
 // the window re-attaches via a RESUME/RESUME-ACK exchange that replays the
 // frames the blip swallowed. With resumption off (the default) a session
-// dies with its only connection, which is exactly the pre-resumption
-// behavior. Compare serveConn's v1 path in host.go, where one connection
-// serves exactly one enrollment conversation at a time and every loss is an
-// abort.
+// dies with its only connection, and every loss aborts its performances.
 
 // streamOpBacklog bounds undrained ops buffered per stream. The client
-// pipelines ops without awaiting results, so the backlog is deeper than
-// v1's lock-step window; a client exceeding it is flooding. (Kept modest:
+// pipelines ops without awaiting results, so the backlog must cover a few
+// in flight; a client exceeding it is flooding. (Kept modest:
 // the channel is allocated per enrollment, so its capacity is hot-path
 // garbage.)
 const streamOpBacklog = 16
@@ -53,7 +50,7 @@ type streamTask struct {
 	m      *wire.Enroll
 }
 
-// hostSession owns the server side of one v2 conversation across however
+// hostSession owns the server side of one conversation across however
 // many transport connections it takes to finish it. Its lifecycle:
 // attached (cur serves it) → broken → parked (resumable, grace timer
 // running) or torn down; a RESUME within the grace window re-attaches it.
@@ -63,6 +60,13 @@ type hostSession struct {
 	h     *Host
 	token string        // "" when resumption was not negotiated
 	sess  *wire.Session // nil iff token == ""
+
+	// rmu is held by a transport's reader for the whole handling of one
+	// frame, and by adopt while it switches transports and snapshots the
+	// receipt count. A superseded reader therefore never counts or
+	// dispatches a frame the RESUME-ACK did not count: the client replays
+	// that frame on the new connection instead, and it arrives exactly once.
+	rmu sync.Mutex
 
 	smu     sync.Mutex
 	cur     *wire.Conn // connection currently serving; nil while parked
@@ -129,27 +133,34 @@ func (h *Host) unregisterSession(s *hostSession) {
 	h.mu.Unlock()
 }
 
-// serveConnV2 serves one v2 multiplexed connection until it dies. The first
-// frame decides what the connection is: a RESUME re-attaches an existing
-// session (parked, or live on a connection whose death the client noticed
-// first); anything else starts a fresh session with that frame as its first
+// serveConnV2 serves one multiplexed connection until it dies. A resumable
+// connection's session is registered at once, so a blip that swallows the
+// client's first frames still leaves a session to resume. The first frame
+// decides what the connection is: a RESUME re-attaches an existing session
+// (parked, or live on a connection whose death the client noticed first)
+// and discards the fresh one; anything else is the fresh session's first
 // traffic.
 func (h *Host) serveConnV2(c *wire.Conn, token string) {
-	t, stream, seq, m, err := c.ReadFrame()
-	if err != nil {
-		return
-	}
-	if t == wire.MsgResume {
-		s := h.adoptSession(c, m.(*wire.Resume))
-		if s == nil {
-			return
-		}
-		h.runConnV2(s, c, nil)
-		return
-	}
 	s := newHostSession(h, c, token)
 	if token != "" {
 		h.registerSession(s)
+	}
+	t, stream, seq, m, err := c.ReadFrame()
+	if err != nil {
+		s.connBroken(c)
+		return
+	}
+	if t == wire.MsgResume {
+		s.smu.Lock()
+		s.cur = nil // c now belongs to the adopted session
+		s.smu.Unlock()
+		s.teardown()
+		adopted := h.adoptSession(c, m.(*wire.Resume))
+		if adopted == nil {
+			return
+		}
+		h.runConnV2(adopted, c, nil)
+		return
 	}
 	h.runConnV2(s, c, &preRead{t: t, stream: stream, seq: seq, m: m})
 }
@@ -180,9 +191,11 @@ func (h *Host) adoptSession(c *wire.Conn, r *wire.Resume) *hostSession {
 }
 
 func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) bool {
+	s.rmu.Lock()
 	s.smu.Lock()
 	if s.done {
 		s.smu.Unlock()
+		s.rmu.Unlock()
 		refuse("session already torn down")
 		return false
 	}
@@ -200,11 +213,13 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 	s.cur = c
 	n := len(s.streams)
 	s.smu.Unlock()
+	recv := s.sess.RecvCount()
+	s.rmu.Unlock()
 
 	// RESUME-ACK strictly before the replayed suffix (both from this
 	// goroutine, through the conn's ordered writer): the enroller reads the
 	// ack synchronously before releasing its own writers onto the wire.
-	if err := c.WriteFrame(wire.MsgResumeAck, 0, 0, wire.ResumeAck{RecvCount: s.sess.RecvCount()}); err != nil {
+	if err := c.WriteFrame(wire.MsgResumeAck, 0, 0, wire.ResumeAck{RecvCount: recv}); err != nil {
 		s.connBroken(c) // fresh transport died instantly: park again
 		return false
 	}
@@ -229,9 +244,12 @@ func (s *hostSession) adopt(c *wire.Conn, r *wire.Resume, refuse func(string)) b
 
 // connBroken is the read loop's exit path for a transport failure on c. If
 // the session is still resumable — resumption negotiated, grace window
-// configured, live streams worth protecting, ring intact, no BYE, host not
-// closing — it parks for the grace window; otherwise it tears down, which
-// reproduces the pre-resumption abort semantics exactly.
+// configured, ring intact, no BYE, host not closing — it parks for the
+// grace window; otherwise it tears down, which reproduces the
+// pre-resumption abort semantics exactly. A session with no live streams
+// parks too: the blip may have swallowed an ENROLL the client already
+// sent, or a COMPLETE the client has not yet received, and either side's
+// replay needs the session to still exist.
 func (s *hostSession) connBroken(c *wire.Conn) {
 	s.smu.Lock()
 	if s.done || s.cur != c {
@@ -243,7 +261,7 @@ func (s *hostSession) connBroken(c *wire.Conn) {
 	s.cur = nil
 	window := s.h.cfg.ResumeWindow
 	parkable := s.sess != nil && window > 0 && !s.byed &&
-		len(s.streams) > 0 && !s.sess.Doomed() && !s.h.isClosed()
+		!s.sess.Doomed() && !s.h.isClosed()
 	if !parkable {
 		s.smu.Unlock()
 		s.teardown()
@@ -273,7 +291,7 @@ func (s *hostSession) expire() {
 }
 
 // teardown ends the session for good: every live stream lost its enroller —
-// reclaim performances exactly like a v1 disconnect, then wait out the
+// reclaim each performance, blaming the vanished role, then wait out the
 // stream workers. Idempotent; safe from any goroutine.
 func (s *hostSession) teardown() {
 	s.smu.Lock()
@@ -392,7 +410,6 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 					fw:       s.writer(),
 					opCh:     make(chan hostOp, streamOpBacklog),
 					quit:     make(chan struct{}),
-					v2:       true,
 					streamID: stream,
 				},
 				ctx:    ctx,
@@ -465,7 +482,18 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 		return true
 	}
 
-	if first != nil && !handle(first.t, first.stream, first.seq, first.m) {
+	// handleCurrent handles one frame while c is still the session's
+	// transport; a superseded connection's frame is dropped uncounted and
+	// ends its read loop (see rmu).
+	handleCurrent := func(t wire.MsgType, stream, seq uint64, m any) bool {
+		s.rmu.Lock()
+		defer s.rmu.Unlock()
+		s.smu.Lock()
+		current := s.cur == c
+		s.smu.Unlock()
+		return current && handle(t, stream, seq, m)
+	}
+	if first != nil && !handleCurrent(first.t, first.stream, first.seq, first.m) {
 		return
 	}
 	for {
@@ -473,7 +501,7 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 		if err != nil {
 			return
 		}
-		if !handle(t, stream, seq, m) {
+		if !handleCurrent(t, stream, seq, m) {
 			return
 		}
 	}
@@ -481,8 +509,7 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 
 // serveStream runs one enrollment conversation on its stream: admission,
 // target enrollment (the bridge body relays ops meanwhile), terminal
-// COMPLETE/DRAIN. It is handleEnroll's multiplexed sibling; disconnect
-// detection lives with the session instead of a frames select. All frames
+// COMPLETE/DRAIN. Disconnect detection lives with the session. All frames
 // go through the stream's bridge writer, so they survive reconnects on a
 // resumable session.
 func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st *hostStream, m *wire.Enroll) {
@@ -526,8 +553,8 @@ func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st
 	if m.DeadlineMS > 0 {
 		e.Deadline = time.UnixMilli(m.DeadlineMS)
 	}
-	// As in handleEnroll: a malformed client trace ID degrades to an
-	// untraced call rather than an error.
+	// A malformed client trace ID is not worth failing the call over — the
+	// enrollment just runs without the client's timeline.
 	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
 	res, err := h.target.Enroll(ctx, e)
 	h.completeV2(st.b.fw, stream, role, res, err)

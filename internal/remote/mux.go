@@ -16,9 +16,7 @@ import (
 // This file is the client side of SCRW v2 connection multiplexing: many
 // concurrent enrollments share one pooled connection, each on its own
 // stream ID with its own op-pipelining sequence space, under a single
-// heartbeat pump. Compare enrollOnce in enroller.go — the v1 path, where
-// every concurrent enrollment needs a dedicated connection because the v1
-// conversation is lock-step per connection.
+// heartbeat pump.
 
 // DefaultMaxStreamsPerConn is the per-connection stream cap when
 // EnrollerConfig.MaxStreamsPerConn is zero.
@@ -35,7 +33,7 @@ type streamEvent struct {
 	err error
 }
 
-// muxConn is one v2 *conversation* shared by up to maxStreams concurrent
+// muxConn is one *conversation* shared by up to maxStreams concurrent
 // enrollments. A dedicated reader goroutine demuxes frames to streams; the
 // heartbeat pump is shared by all of them. Without resumption (sess nil)
 // the conversation is bound to one transport connection and dies with it.
@@ -59,6 +57,11 @@ type muxConn struct {
 	resumeWindow time.Duration
 	redial       func(ctx context.Context) (*wire.Conn, error)
 	faults       NetFaults
+	// rmu is held by a transport's reader for the whole handling of one
+	// frame, and by resume while it snapshots the receipt count for RESUME.
+	// A reader whose transport was detached drops the frame uncounted, so
+	// the host replays it on the new connection and it arrives exactly once.
+	rmu sync.Mutex
 
 	mu       sync.Mutex
 	streams  map[uint64]*muxStream
@@ -174,9 +177,8 @@ func (mc *muxConn) closeStream(st *muxStream) {
 
 // retire drains the connection out: no new stream reservations are
 // accepted, and the connection is failed once its last stream closes. A
-// connection with no active streams fails immediately. This is the v2
-// counterpart of the v1 idle-only cleanup — enrollments in flight keep
-// their streams and finish (or fail) on their own.
+// connection with no active streams fails immediately. Enrollments in
+// flight keep their streams and finish (or fail) on their own.
 func (mc *muxConn) retire() {
 	mc.mu.Lock()
 	mc.retired = true
@@ -307,15 +309,12 @@ func (mc *muxConn) reconnect(origErr error) {
 // worth retrying on yet another connection; terminal outcomes (refusal,
 // unsatisfiable receipt state, success) return true.
 func (mc *muxConn) resume(c *wire.Conn, origErr error) (done bool) {
-	if c.Version() < 2 {
-		// The host's protocol ceiling changed under us (restart with a new
-		// config): the session cannot continue.
-		mc.fail(origErr)
-		return true
-	}
+	mc.rmu.Lock()
+	recv := mc.sess.RecvCount()
+	mc.rmu.Unlock()
 	if err := c.WriteFrame(wire.MsgResume, 0, 0, wire.Resume{
 		Token:     mc.sess.Token(),
-		RecvCount: mc.sess.RecvCount(),
+		RecvCount: recv,
 	}); err != nil {
 		return false
 	}
@@ -360,8 +359,8 @@ func (mc *muxConn) resume(c *wire.Conn, origErr error) (done bool) {
 }
 
 // readLoop is one transport's single reader: it demuxes every inbound
-// frame to its stream until the transport dies. A resumable conversation
-// starts a fresh readLoop per transport.
+// frame to its stream until the transport dies or is detached. A resumable
+// conversation starts a fresh readLoop per transport.
 func (mc *muxConn) readLoop(c *wire.Conn) {
 	for {
 		t, stream, seq, m, err := c.ReadFrame()
@@ -369,35 +368,52 @@ func (mc *muxConn) readLoop(c *wire.Conn) {
 			mc.lost(c, fmt.Errorf("%w: %v", ErrConnLost, err))
 			return
 		}
-		if stream == 0 {
-			switch t {
-			case wire.MsgError:
-				// The host names a protocol violation before severing: fatal
-				// even with resumption — a violating conversation is not a
-				// blip, and the host has already torn its side down.
-				pe := m.(*wire.ProtoError)
-				mc.fail(fmt.Errorf("script/remote: host error: %s", pe.Msg))
-				return
-			case wire.MsgAck:
-				if mc.sess != nil {
-					mc.sess.PeerAck(m.(*wire.Ack).Count)
-				}
+		if !mc.handle(c, t, stream, seq, m) {
+			return
+		}
+	}
+}
+
+// handle routes one frame read from c, reporting false when the read loop
+// must stop: c is no longer the conversation's transport (the frame is
+// dropped uncounted, see rmu), or the host named a protocol violation.
+func (mc *muxConn) handle(c *wire.Conn, t wire.MsgType, stream, seq uint64, m any) bool {
+	mc.rmu.Lock()
+	defer mc.rmu.Unlock()
+	mc.mu.Lock()
+	current := mc.c == c
+	mc.mu.Unlock()
+	if !current {
+		return false
+	}
+	if stream == 0 {
+		switch t {
+		case wire.MsgError:
+			// The host names a protocol violation before severing: fatal
+			// even with resumption — a violating conversation is not a
+			// blip, and the host has already torn its side down.
+			pe := m.(*wire.ProtoError)
+			mc.fail(fmt.Errorf("script/remote: host error: %s", pe.Msg))
+			return false
+		case wire.MsgAck:
+			if mc.sess != nil {
+				mc.sess.PeerAck(m.(*wire.Ack).Count)
 			}
-			continue
 		}
-		if mc.sess != nil {
-			// Count (and on cadence ack) every stream frame received: this
-			// is the receipt state a resume exchange reconciles.
-			mc.sess.MaybeAck()
-		}
-		mc.mu.Lock()
-		st := mc.streams[stream]
-		mc.mu.Unlock()
-		if st == nil {
-			continue // raced with closeStream; the enrollment has its outcome
-		}
+		return true
+	}
+	if mc.sess != nil {
+		// Count (and on cadence ack) every stream frame received: this is
+		// the receipt state a resume exchange reconciles.
+		mc.sess.MaybeAck()
+	}
+	mc.mu.Lock()
+	st := mc.streams[stream]
+	mc.mu.Unlock()
+	if st != nil { // nil: raced with closeStream; the enrollment has its outcome
 		st.deliver(t, seq, m)
 	}
+	return true
 }
 
 // heartbeat is the conversation's shared liveness pump — one per
@@ -573,14 +589,6 @@ func (e *Enroller) maxStreams() int {
 	return DefaultMaxStreamsPerConn
 }
 
-// maxProto is the newest protocol version the enroller negotiates.
-func (e *Enroller) maxProto() int {
-	if e.cfg.MaxProtocolVersion > 0 {
-		return e.cfg.MaxProtocolVersion
-	}
-	return wire.MaxVersion
-}
-
 // reserveMux finds a pooled connection with a free stream slot, compacting
 // dead entries on the way.
 func (hs *hostState) reserveMux() *muxConn {
@@ -631,7 +639,7 @@ func (hs *hostState) removeMux(mc *muxConn) {
 // failed immediately, ones with enrollments in flight are failed when
 // their last stream closes. Used when a host leaves the registry view and
 // by Enroller.Close — both promise that in-flight enrollments keep their
-// connections, mirroring the v1 path's idle-only cleanup.
+// connections.
 func (hs *hostState) retireMuxes() {
 	hs.gone.Store(true)
 	hs.muxMu.Lock()
@@ -642,19 +650,12 @@ func (hs *hostState) retireMuxes() {
 	}
 }
 
-// muxEnroll attempts the v2 multiplexed path against hs. ok reports
-// whether the attempt was v2 at all: false (with a nil error) means the
-// host negotiated v1 and the caller should take the v1 path — the dialed
-// v1 connection, if any, is handed back via cc.
-func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enrollment) (res core.Result, err error, ok bool, cc *clientConn) {
+// muxEnroll runs one offer against hs on a pooled connection with a free
+// stream slot, dialing a fresh one when none has capacity.
+func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enrollment) (core.Result, error) {
 	// Existing capacity first: no dial, no lock beyond the pool scan.
 	if mc := hs.reserveMux(); mc != nil {
-		res, err := e.enrollMux(ctx, mc, enr)
-		return res, err, true, nil
-	}
-	if hs.proto.Load() == 1 {
-		// The host answered v1 last time we asked; don't re-dial v2.
-		return core.Result{}, nil, false, nil
+		return e.enrollMux(ctx, mc, enr)
 	}
 	// Serialize dials per host: a concurrent burst of enrollments (a
 	// 64-role cast) must not each dial — the first dial provides stream
@@ -662,24 +663,14 @@ func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enroll
 	hs.dialMu.Lock()
 	if mc := hs.reserveMux(); mc != nil {
 		hs.dialMu.Unlock()
-		res, err := e.enrollMux(ctx, mc, enr)
-		return res, err, true, nil
+		return e.enrollMux(ctx, mc, enr)
 	}
-	c, ack, err := e.dialRaw(ctx, hs.addr, e.maxProto())
+	c, ack, err := e.dialRaw(ctx, hs.addr)
 	if err != nil {
 		hs.dialMu.Unlock()
-		return core.Result{}, err, true, nil
+		return core.Result{}, err
 	}
 	hb := effectiveHeartbeat(e.cfg.HeartbeatInterval, ack.HeartbeatTimeoutMS)
-	if c.Version() < 2 {
-		// v1 host: remember, and hand the connection to the v1 path.
-		hs.proto.Store(1)
-		hs.dialMu.Unlock()
-		cc := &clientConn{c: c, stop: make(chan struct{})}
-		go cc.heartbeat(hb, e.cfg.Faults)
-		return core.Result{}, nil, false, cc
-	}
-	hs.proto.Store(2)
 	mc := &muxConn{
 		c:          c,
 		hs:         hs,
@@ -702,7 +693,7 @@ func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enroll
 			if closed {
 				return nil, core.ErrClosed
 			}
-			rc, _, rerr := e.dialRaw(rctx, hs.addr, e.maxProto())
+			rc, _, rerr := e.dialRaw(rctx, hs.addr)
 			return rc, rerr
 		}
 	}
@@ -711,16 +702,13 @@ func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enroll
 	hs.dialMu.Unlock()
 	go mc.readLoop(c)
 	go mc.heartbeat(hb, e.cfg.Faults)
-	res, err = e.enrollMux(ctx, mc, enr)
-	return res, err, true, nil
+	return e.enrollMux(ctx, mc, enr)
 }
 
 // enrollMux runs one offer on a reserved mux slot and applies the
-// withdraw-retirement policy: a v1 client's withdrawal severs its
-// dedicated connection (freeing the host's connection slot); the v2
-// equivalent is to retire the shared connection once the withdrawn
-// enrollment was its last user, so caps and observable connection counts
-// behave identically across protocols.
+// withdraw-retirement policy: the shared connection is retired once a
+// withdrawn enrollment was its last user, so a withdrawal frees the host's
+// connection slot just as closing a dedicated connection would.
 func (e *Enroller) enrollMux(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
 	res, err := e.enrollOnceV2(ctx, mc, enr)
 	if err != nil && ctx.Err() != nil && mc.active() == 0 {
@@ -762,13 +750,12 @@ func (e *Enroller) enrollOnceV2(ctx context.Context, mc *muxConn, enr core.Enrol
 	}
 	if err := mc.write(wire.MsgEnroll, st.id, 0, msg); err != nil {
 		mc.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return core.Result{}, wrapErr(err)
+		return core.Result{}, offerLost(wrapErr(err))
 	}
 
-	// The withdraw path: unlike v1 — where cancellation severs the
-	// dedicated connection — a shared connection must stay up, so the
-	// watchdog sends a stream-addressed CANCEL instead. The host answers
-	// with the stream's terminal frame.
+	// The withdraw path: a shared connection must stay up, so the watchdog
+	// sends a stream-addressed CANCEL rather than severing it. The host
+	// answers with the stream's terminal frame.
 	watchDone := make(chan struct{})
 	defer close(watchDone)
 	go func() {
@@ -789,7 +776,7 @@ await:
 		case ev := <-st.events:
 			switch {
 			case ev.err != nil:
-				return core.Result{}, wrapErr(ev.err)
+				return core.Result{}, offerLost(wrapErr(ev.err))
 			case ev.typ == wire.MsgOfferAck:
 				ack = ev.ack
 				break await

@@ -60,8 +60,8 @@ func runStarOnce(ctx context.Context, enr *remote.Enroller, n int, msg string) e
 }
 
 // TestMuxSharesOneConnection proves connection multiplexing: four
-// concurrent enrollments (a sender and three recipients) ride a single v2
-// connection, where the v1 transport would dial one conn per enrollment.
+// concurrent enrollments (a sender and three recipients) ride a single
+// connection instead of one conn per enrollment.
 func TestMuxSharesOneConnection(t *testing.T) {
 	in := core.NewInstance(patterns.StarBroadcast(3))
 	defer in.Close()
@@ -81,51 +81,8 @@ func TestMuxSharesOneConnection(t *testing.T) {
 	}
 }
 
-// TestMuxFallsBackToV1Host checks version negotiation against a host
-// pinned to v1 (an un-upgraded deployment): the enroller's first dial
-// discovers v1, falls back to the lock-step transport, and later
-// enrollments reuse the cached answer without re-probing.
-func TestMuxFallsBackToV1Host(t *testing.T) {
-	in := core.NewInstance(patterns.StarBroadcast(2))
-	defer in.Close()
-	h, addr := startHost(t, in, remote.HostConfig{MaxProtocolVersion: 1})
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{Script: "star_broadcast"})
-	defer enr.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for round := 0; round < 2; round++ {
-		if err := runStarOnce(ctx, enr, 2, fmt.Sprintf("v1-%d", round)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// v1 gives every concurrent enrollment its own connection.
-	if got := h.Stats().Conns; got < 2 {
-		t.Fatalf("host conns = %d after v1 fallback, want >= 2 dedicated conns", got)
-	}
-}
-
-// TestMuxV1PinnedClient checks the other interop direction: an enroller
-// pinned to v1 (an un-upgraded client) against a v2-capable host.
-func TestMuxV1PinnedClient(t *testing.T) {
-	in := core.NewInstance(patterns.StarBroadcast(2))
-	defer in.Close()
-	_, addr := startHost(t, in, remote.HostConfig{})
-	enr := remote.NewEnroller(addr, remote.EnrollerConfig{
-		Script:             "star_broadcast",
-		MaxProtocolVersion: 1,
-	})
-	defer enr.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := runStarOnce(ctx, enr, 2, "pinned"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMuxDedicatedConnMode runs v2 with MaxStreamsPerConn: 1 — the v2
-// codec without multiplexing (perfbench's lock-step comparison mode).
+// TestMuxDedicatedConnMode runs with MaxStreamsPerConn: 1 — a dedicated
+// connection per enrollment (perfbench E7's baseline arm).
 func TestMuxDedicatedConnMode(t *testing.T) {
 	in := core.NewInstance(patterns.StarBroadcast(2))
 	defer in.Close()
@@ -146,11 +103,10 @@ func TestMuxDedicatedConnMode(t *testing.T) {
 	}
 }
 
-// TestMuxWithdrawRetiresIdleConn: a v2 enrollment withdrawn before
+// TestMuxWithdrawRetiresIdleConn: an enrollment withdrawn before
 // assignment sends CANCEL on its shared connection. When it was the
 // connection's last user the conn must be retired, not pooled — otherwise
-// a withdrawn enroller would pin a host connection slot forever (v1 frees
-// the slot by severing its dedicated conn).
+// a withdrawn enroller would pin a host connection slot forever.
 func TestMuxWithdrawRetiresIdleConn(t *testing.T) {
 	in := core.NewInstance(patterns.StarBroadcast(1))
 	defer in.Close()
@@ -254,12 +210,12 @@ func TestMuxWithdrawKeepsBusyConn(t *testing.T) {
 	}
 }
 
-// TestMuxPipelinedAllocs is the allocation regression guard for the v2
+// TestMuxPipelinedAllocs is the allocation regression guard for the wire
 // hot path: a steady-state Send/Recv exchange (client encode, host decode,
 // rendezvous, result frame back) must not regress to per-op JSON-encoding
 // costs. The bound is deliberately generous — it counts every allocation
 // in the process across both enrollment bodies, the host, and the core
-// engine — but the v1 JSON path lands several times higher.
+// engine — but a JSON payload codec lands several times higher.
 func TestMuxPipelinedAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is noisy under -short CI shards")

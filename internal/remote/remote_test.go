@@ -236,16 +236,16 @@ func rawEnroll(t *testing.T, addr, script, pid, role string) *wire.Conn {
 		t.Fatalf("dial: %v", err)
 	}
 	c := wire.NewConn(nc)
-	if _, err := wire.ClientHandshake(c, script); err != nil {
+	if _, err := wire.ClientHandshakeResume(c, script, false); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
-	if err := c.WriteMsg(wire.MsgEnroll, wire.Enroll{PID: pid, Role: role}); err != nil {
+	if err := c.WriteFrame(wire.MsgEnroll, 1, 0, wire.Enroll{PID: pid, Role: role}); err != nil {
 		t.Fatalf("enroll: %v", err)
 	}
 	c.SetReadTimeout(10 * time.Second)
-	typ, _, err := c.ReadMsg()
-	if err != nil || typ != wire.MsgOfferAck {
-		t.Fatalf("await offer: %v %v", typ, err)
+	typ, stream, _, _, err := c.ReadFrame()
+	if err != nil || typ != wire.MsgOfferAck || stream != 1 {
+		t.Fatalf("await offer: %v stream %d %v", typ, stream, err)
 	}
 	return c
 }

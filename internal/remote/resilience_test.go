@@ -15,6 +15,7 @@ import (
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/patterns"
 	"github.com/scriptabs/goscript/internal/remote"
+	"github.com/scriptabs/goscript/internal/wire"
 )
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -548,5 +549,52 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	}
 	if got := h.Stats().ShedEnrollments; got != 1 {
 		t.Fatalf("ShedEnrollments = %d, want 1", got)
+	}
+}
+
+// TestConnLostBeforeOfferIsRetried: a connection that dies while an offer
+// awaits assignment (here a host that hangs up on every ENROLL, as a
+// draining host closing its connections does) never ran the role body, so
+// the enroller re-offers it under its retry policy. The final error still
+// reads as ErrConnLost.
+func TestConnLostBeforeOfferIsRetried(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int64
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func() {
+				c := wire.NewConn(nc)
+				defer c.Close()
+				if _, err := wire.ServerHandshakeVExt(c, "star_broadcast", nil); err != nil {
+					return
+				}
+				_, _, _, _, _ = c.ReadFrame() // the ENROLL; hang up unanswered
+			}()
+		}
+	}()
+
+	const attempts = 3
+	enr := remote.NewEnroller(ln.Addr().String(), remote.EnrollerConfig{
+		Retry:   remote.RetryPolicy{MaxAttempts: attempts, BaseBackoff: time.Millisecond, Seed: 5},
+		Breaker: remote.BreakerConfig{FailureThreshold: -1},
+	})
+	defer enr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = enrollRecipient(ctx, enr, "hung-up")
+	if !errors.Is(err, remote.ErrConnLost) || !remote.Retryable(err) {
+		t.Fatalf("err = %v (retryable %v), want a retryable ErrConnLost", err, remote.Retryable(err))
+	}
+	if got := accepted.Load(); got != attempts {
+		t.Fatalf("host saw %d connections, want %d (one per attempt)", got, attempts)
 	}
 }

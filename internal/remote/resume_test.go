@@ -24,6 +24,7 @@ import (
 	"github.com/scriptabs/goscript/internal/metrics"
 	"github.com/scriptabs/goscript/internal/patterns"
 	"github.com/scriptabs/goscript/internal/remote"
+	"github.com/scriptabs/goscript/internal/wire"
 )
 
 // cutFaults severs the client's live connection at op entry, exactly as many
@@ -482,5 +483,43 @@ func TestNewEnrollmentsAvoidDetachedConn(t *testing.T) {
 	}
 	if got := h.Stats().ConnsV2; got < 2 {
 		t.Fatalf("ConnsV2 = %d, want >= 2 (second enrollment must not ride the detached conn)", got)
+	}
+}
+
+// TestResumeBeforeFirstFrame pins that a resumable session exists from the
+// handshake on: a connection that breaks before carrying any stream frame
+// (its ENROLL lost in the blip, say) is still resumable with its token.
+func TestResumeBeforeFirstFrame(t *testing.T) {
+	in := core.NewInstance(patterns.StarBroadcast(1))
+	defer in.Close()
+	_, addr := startHost(t, in, remote.HostConfig{ResumeWindow: 5 * time.Second})
+
+	dial := func() *wire.Conn {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		c := wire.NewConn(nc)
+		c.SetReadTimeout(5 * time.Second)
+		return c
+	}
+	first := dial()
+	ack, err := wire.ClientHandshakeResume(first, "star_broadcast", true)
+	if err != nil || ack.ResumeToken == "" {
+		t.Fatalf("handshake: ack %+v, err %v; want a resume token", ack, err)
+	}
+	first.Close()
+
+	second := dial()
+	defer second.Close()
+	if _, err := wire.ClientHandshakeResume(second, "star_broadcast", true); err != nil {
+		t.Fatalf("redial handshake: %v", err)
+	}
+	if err := second.WriteFrame(wire.MsgResume, 0, 0, wire.Resume{Token: ack.ResumeToken}); err != nil {
+		t.Fatalf("RESUME: %v", err)
+	}
+	typ, _, _, m, err := second.ReadFrame()
+	if err != nil || typ != wire.MsgResumeAck {
+		t.Fatalf("RESUME answered %v %+v (err %v), want RESUME-ACK", typ, m, err)
 	}
 }

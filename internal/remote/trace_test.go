@@ -114,10 +114,6 @@ func TestTracePropagationV2(t *testing.T) {
 	testTracePropagation(t, remote.HostConfig{})
 }
 
-func TestTracePropagationV1(t *testing.T) {
-	testTracePropagation(t, remote.HostConfig{MaxProtocolVersion: 1})
-}
-
 // TestUnsampledEnrollStaysUntraced pins the negative path: with samplers
 // that never fire on either side, no trace IDs cross the wire and neither
 // side records anything.

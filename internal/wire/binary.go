@@ -1,9 +1,8 @@
-// Binary payload codec for protocol version 2 (SCRW v2).
+// Binary payload codec for protocol version 2 (SCRW v2), used for every
+// frame after the JSON handshake.
 //
-// v1 encodes every payload as JSON; profiling the remote-enrollment hot
-// path (BENCH_E7) showed encoding/json dominating per-frame cost. v2 keeps
-// the outer framing (uint32 length + type byte, see wire.go) and replaces
-// the payload with a compact hand-rolled binary encoding:
+// The payload follows the outer framing (uint32 length + type byte, see
+// wire.go) as a compact hand-rolled binary encoding:
 //
 //	uvarint  stream ID   (multiplexing: which enrollment this frame belongs to)
 //	uvarint  sequence ID (op pipelining: echoes the request on its OP-RESULT;
@@ -13,9 +12,9 @@
 // Scalars are varints (zigzag for signed), strings and byte slices are
 // length-prefixed, and dynamic values carry a one-byte type tag. Types the
 // value codec does not model natively fall back to an embedded JSON blob,
-// so v2 is value-complete with respect to v1. Unlike v1 — where JSON
-// coerces every number to float64 — v2 preserves integer-ness across the
-// wire (ints arrive as int, not float64).
+// so every JSON-encodable value crosses the wire. Unlike plain JSON — which
+// coerces every number to float64 — the codec preserves integer-ness
+// across the wire (ints arrive as int, not float64).
 //
 // Decoding is total: a malformed payload of any length yields an error,
 // never a panic or an unbounded allocation (every length read is checked
@@ -31,8 +30,8 @@ import (
 	"math"
 )
 
-// MaxVersion is the newest protocol version this package speaks. The
-// handshake negotiates downward from it, to Version (=1) at worst.
+// MaxVersion is the protocol version this package speaks, the only one the
+// handshake accepts.
 const MaxVersion = 2
 
 // Decode-side error sentinels. Kept as values so the hot path never
@@ -44,6 +43,12 @@ var (
 	errTooDeep   = errors.New("wire: v2 value nesting too deep")
 	errTrailing  = errors.New("wire: trailing bytes after v2 payload")
 )
+
+// errVersion rejects a payload codec request for a version other than
+// MaxVersion.
+func errVersion(ver int) error {
+	return fmt.Errorf("wire: no payload codec for protocol v%d (only v%d)", ver, MaxVersion)
+}
 
 // maxValueDepth bounds the nesting of the dynamic value codec, so a
 // malicious frame cannot drive the decoder into unbounded recursion.
@@ -376,21 +381,14 @@ func appendEnroll(b []byte, m *Enroll) ([]byte, error) {
 	return b, nil
 }
 
-// AppendPayload appends one frame payload (the bytes after the type byte)
-// for protocol version ver: JSON for v1 (stream and seq must be zero — v1
-// has neither), the binary envelope + body for v2. Appending to a reused
-// buffer keeps the encode path allocation-free at steady state; Conn
-// maintains a pool of such buffers for its writes.
+// AppendPayload appends one frame payload (the bytes after the type byte):
+// the binary envelope + body. ver must be MaxVersion; there is no other
+// payload codec. Appending to a reused buffer keeps the encode path
+// allocation-free at steady state; Conn maintains a pool of such buffers
+// for its writes.
 func AppendPayload(dst []byte, ver int, t MsgType, stream, seq uint64, m any) ([]byte, error) {
-	if ver < 2 {
-		if stream != 0 || seq != 0 {
-			return nil, fmt.Errorf("wire: protocol v%d has no stream/seq envelope", ver)
-		}
-		blob, err := json.Marshal(m)
-		if err != nil {
-			return nil, fmt.Errorf("wire: marshal %s: %w", t, err)
-		}
-		return append(dst, blob...), nil
+	if ver != MaxVersion {
+		return nil, errVersion(ver)
 	}
 	dst = binary.AppendUvarint(dst, stream)
 	dst = binary.AppendUvarint(dst, seq)
@@ -659,16 +657,14 @@ func (c *cursor) errInfo() (*ErrInfo, error) {
 	return e, nil
 }
 
-// ParsePayload decodes one frame payload for protocol version ver. For v1
-// it JSON-unmarshals into the message struct for t (stream and seq are
-// reported as 0); for v2 it decodes the binary envelope and body. The
-// returned message is a pointer to the concrete struct for t (*Send,
-// *OpResult, ...), fully copied out of payload — the caller may reuse the
-// payload buffer immediately.
+// ParsePayload decodes one frame payload: the binary envelope and body. ver
+// must be MaxVersion; there is no other payload codec. The returned message
+// is a pointer to the concrete struct for t (*Send, *OpResult, ...), fully
+// copied out of payload — the caller may reuse the payload buffer
+// immediately.
 func ParsePayload(ver int, t MsgType, payload []byte) (stream, seq uint64, m any, err error) {
-	if ver < 2 {
-		m, err = parseJSONPayload(t, payload)
-		return 0, 0, m, err
+	if ver != MaxVersion {
+		return 0, 0, nil, errVersion(ver)
 	}
 	c := &cursor{b: payload}
 	if stream, err = c.uvarint(); err != nil {
@@ -685,60 +681,6 @@ func ParsePayload(ver int, t MsgType, payload []byte) (stream, seq uint64, m any
 		return 0, 0, nil, errTrailing
 	}
 	return stream, seq, m, nil
-}
-
-func parseJSONPayload(t MsgType, payload []byte) (any, error) {
-	var m any
-	switch t {
-	case MsgHello:
-		m = &Hello{}
-	case MsgHelloAck:
-		m = &HelloAck{}
-	case MsgEnroll:
-		m = &Enroll{}
-	case MsgOfferAck:
-		m = &OfferAck{}
-	case MsgSend:
-		m = &Send{}
-	case MsgSendAll:
-		m = &SendAll{}
-	case MsgRecv, MsgRecvAny:
-		m = &Recv{}
-	case MsgSelect:
-		m = &Select{}
-	case MsgQuery:
-		m = &Query{}
-	case MsgBodyDone:
-		m = &BodyDone{}
-	case MsgOpResult:
-		m = &OpResult{}
-	case MsgComplete:
-		m = &Complete{}
-	case MsgAbort:
-		m = &Abort{}
-	case MsgDrain:
-		m = &Drain{}
-	case MsgHeartbeat:
-		m = &Heartbeat{}
-	case MsgResume:
-		m = &Resume{}
-	case MsgResumeAck:
-		m = &ResumeAck{}
-	case MsgAck:
-		m = &Ack{}
-	case MsgBye:
-		m = &Bye{}
-	case MsgError:
-		m = &ProtoError{}
-	case MsgOverloaded:
-		m = &Overloaded{}
-	default:
-		return nil, fmt.Errorf("wire: unknown message type %s", t)
-	}
-	if err := json.Unmarshal(payload, m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 func parseBody(c *cursor, t MsgType) (any, error) {

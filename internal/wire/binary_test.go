@@ -202,8 +202,6 @@ func TestV2ErrorTaxonomyRoundTrip(t *testing.T) {
 // pair, including interleaved streams.
 func TestV2FrameConn(t *testing.T) {
 	ca, cb := pipeConns(t)
-	ca.SetVersion(2)
-	cb.SetVersion(2)
 	go func() {
 		_ = ca.WriteFrame(MsgSend, 1, 1, Send{To: "a", Val: 10})
 		_ = ca.WriteFrame(MsgSend, 2, 1, Send{To: "b", Val: 20})
@@ -231,91 +229,55 @@ func TestV2FrameConn(t *testing.T) {
 	}
 }
 
-// TestV1FrameConn checks WriteFrame/ReadFrame degrade to JSON on a v1
-// connection (and reject the v2-only envelope).
-func TestV1FrameConn(t *testing.T) {
-	ca, cb := pipeConns(t)
-	if err := ca.WriteFrame(MsgSend, 1, 0, Send{To: "x"}); err == nil {
-		t.Fatal("v1 WriteFrame accepted a stream ID")
-	}
-	go func() { _ = ca.WriteFrame(MsgSend, 0, 0, Send{To: "x", Val: 1.5}) }()
-	typ, stream, seq, m, err := cb.ReadFrame()
+// TestPayloadCodecVersion checks that the payload codec exists only for
+// MaxVersion: asking for any other version fails instead of falling back.
+func TestPayloadCodecVersion(t *testing.T) {
+	good, err := AppendPayload(nil, MaxVersion, MsgSend, 1, 1, Send{To: "x"})
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatal(err)
 	}
-	if typ != MsgSend || stream != 0 || seq != 0 {
-		t.Fatalf("v1 frame envelope: %s %d %d", typ, stream, seq)
-	}
-	if got := m.(*Send); got.To != "x" || got.Val != 1.5 {
-		t.Fatalf("v1 frame mangled: %+v", got)
+	for _, ver := range []int{0, 1, MaxVersion + 1} {
+		if _, err := AppendPayload(nil, ver, MsgSend, 1, 1, Send{To: "x"}); err == nil {
+			t.Errorf("AppendPayload(v%d) succeeded", ver)
+		}
+		if _, _, _, err := ParsePayload(ver, MsgSend, good); err == nil {
+			t.Errorf("ParsePayload(v%d) succeeded", ver)
+		}
 	}
 }
 
+// TestHandshakeNegotiation checks that the host settles on v2 for every
+// HELLO whose range includes it: this package's own client, and a client
+// built while v1 was still spoken (floor 1, max 2).
 func TestHandshakeNegotiation(t *testing.T) {
 	cases := []struct {
-		name               string
-		clientMax, hostMax int
-		want               int
+		name  string
+		hello Hello
 	}{
-		{"both v2", 2, 2, 2},
-		{"old host", 2, 1, 1},
-		{"old client", 1, 2, 1},
-		{"both v1", 1, 1, 1},
+		{"both v2", Hello{Magic: Magic, Version: MaxVersion}},
+		{"old client", Hello{Magic: Magic, Version: 1, MaxVersion: MaxVersion}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ca, cb := pipeConns(t)
 			errCh := make(chan error, 1)
-			go func() { errCh <- ServerHandshakeV(cb, "s", tc.hostMax) }()
-			ack, err := ClientHandshakeV(ca, "s", tc.clientMax)
+			go func() { errCh <- serverHandshake(cb, "s") }()
+			if err := ca.WriteMsg(MsgHello, tc.hello); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := ca.ReadMsg()
 			if err != nil {
-				t.Fatalf("ClientHandshakeV: %v", err)
+				t.Fatal(err)
 			}
 			if err := <-errCh; err != nil {
-				t.Fatalf("ServerHandshakeV: %v", err)
+				t.Fatalf("ServerHandshakeVExt: %v", err)
 			}
-			if ack.Version != tc.want || ca.Version() != tc.want || cb.Version() != tc.want {
-				t.Fatalf("negotiated (ack %d, client %d, host %d), want %d",
-					ack.Version, ca.Version(), cb.Version(), tc.want)
+			var ack HelloAck
+			if typ != MsgHelloAck || Decode(payload, &ack) != nil || ack.Version != MaxVersion {
+				t.Fatalf("reply %s %+v, want HELLO-ACK at v%d", typ, ack, MaxVersion)
 			}
 		})
 	}
-}
-
-// TestHandshakeLegacyInterop proves the frozen v1 handshake interoperates
-// with the negotiating one in both directions — the on-wire behavior of a
-// peer built before this change.
-func TestHandshakeLegacyInterop(t *testing.T) {
-	t.Run("legacy client, negotiating host", func(t *testing.T) {
-		ca, cb := pipeConns(t)
-		errCh := make(chan error, 1)
-		go func() { errCh <- ServerHandshakeV(cb, "s", MaxVersion) }()
-		ack, err := ClientHandshake(ca, "s")
-		if err != nil {
-			t.Fatalf("legacy ClientHandshake: %v", err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("ServerHandshakeV: %v", err)
-		}
-		if ack.Version != 1 || cb.Version() != 1 {
-			t.Fatalf("legacy client negotiated v%d on host side %d", ack.Version, cb.Version())
-		}
-	})
-	t.Run("negotiating client, legacy host", func(t *testing.T) {
-		ca, cb := pipeConns(t)
-		errCh := make(chan error, 1)
-		go func() { errCh <- ServerHandshake(cb, "s") }()
-		ack, err := ClientHandshakeV(ca, "s", MaxVersion)
-		if err != nil {
-			t.Fatalf("ClientHandshakeV against legacy host: %v", err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("legacy ServerHandshake: %v", err)
-		}
-		if ack.Version != 1 || ca.Version() != 1 {
-			t.Fatalf("negotiating client got v%d from legacy host (conn %d)", ack.Version, ca.Version())
-		}
-	})
 }
 
 // TestV2DecodeMalformed spot-checks the decoder's totality on hand-built

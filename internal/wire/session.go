@@ -1,6 +1,6 @@
 // Session: resumable delivery on top of a swappable Conn.
 //
-// A Session owns the frames of one logical v2 conversation across any
+// A Session owns the frames of one logical conversation across any
 // number of transport connections. Session frames — every frame with a
 // non-zero stream ID — are counted cumulatively per direction and retained,
 // fully encoded, in a byte-capped retransmit ring until the peer
@@ -86,7 +86,7 @@ type Session struct {
 	doomed   bool
 }
 
-// NewSession wraps c (which must have completed a v2 handshake) in a
+// NewSession wraps c (which must have completed the handshake) in a
 // resumable session identified by token. capBytes <= 0 selects
 // DefaultResumeBufBytes.
 func NewSession(c *Conn, token string, capBytes int) *Session {
@@ -141,10 +141,9 @@ func (s *Session) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 		return c.WriteFrame(t, stream, seq, m)
 	}
 
-	// Encode once, into a buffer the ring can retain. Sessions only wrap v2
-	// connections, so the codec version is fixed.
+	// Encode once, into a buffer the ring can retain.
 	buf := make([]byte, 5, 64)
-	buf, err := AppendPayload(buf, 2, t, stream, seq, m)
+	buf, err := AppendPayload(buf, MaxVersion, t, stream, seq, m)
 	if err != nil {
 		return err
 	}
@@ -236,7 +235,7 @@ func (s *Session) Detach() {
 	s.mu.Unlock()
 }
 
-// Resume splices a freshly handshaken v2 connection into the session and
+// Resume splices a freshly handshaken connection into the session and
 // retransmits the unacked suffix beyond peerRecv, the peer's cumulative
 // receipt count from the RESUME/RESUME-ACK exchange. Frames the count
 // proves were already received are pruned, not retransmitted (that pruning

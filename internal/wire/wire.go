@@ -1,7 +1,8 @@
-// Package wire defines the remote-enrollment wire protocol: the framing,
-// the message vocabulary, and the error taxonomy mapping that let an actual
-// OS process enroll into a script instance served by another process over
-// TCP (see internal/remote for the host and client built on top).
+// Package wire defines the remote-enrollment wire protocol (SCRW): the
+// framing, the message vocabulary, and the error taxonomy mapping that let
+// an actual OS process enroll into a script instance served by another
+// process over TCP (see internal/remote for the host and client built on
+// top).
 //
 // The paper's model assumes genuinely separate processes joining roles; in
 // this runtime a remote enrollment keeps the paper's key property — the role
@@ -9,7 +10,7 @@
 // in the *client* — while the coordination state (matching, the rendezvous
 // fabric, deadlines, abort) stays in the serving process. Every Ctx
 // operation a remote body issues is one request/response exchange on its
-// connection.
+// stream.
 //
 // # Framing
 //
@@ -17,35 +18,41 @@
 //
 //	uint32 (big endian)  frame length N (type byte + payload), 1 <= N <= MaxFrame
 //	uint8                message type (MsgType)
-//	N-1 bytes            payload, JSON-encoded
+//	N-1 bytes            payload
 //
-// JSON keeps the protocol debuggable with standard tools and imposes the
-// usual coercions: numeric values cross the wire as float64, []byte as
-// base64 strings. Applications exchanging richer types should encode them
-// explicitly at the edges.
+// The handshake frames (HELLO, HELLO-ACK, OVERLOADED and a handshake
+// ERROR) carry JSON payloads, read and written with ReadMsg/WriteMsg: they
+// run once per connection, and JSON keeps them debuggable with standard
+// tools. Every frame after the handshake carries the binary payload of
+// binary.go — a stream/sequence envelope plus a compact body — read and
+// written with ReadFrame/WriteFrame.
 //
 // # Conversation
 //
 // A connection begins with a versioned handshake (MsgHello → MsgHelloAck).
-// Then, sequentially, any number of enrollments:
+// Then any number of enrollments run concurrently, each on its own
+// client-chosen stream ID (stream 0 is reserved for connection-level
+// frames):
 //
 //	C→S  MsgEnroll                       offer to play a role
 //	S→C  MsgOfferAck                     assigned; the client runs the body
 //	C→S  MsgSend|MsgSendAll|MsgRecv|MsgRecvAny|MsgSelect|MsgQuery  (repeat)
-//	S→C  MsgOpResult                     one per operation
+//	S→C  MsgOpResult                     one per operation, echoing its seq
 //	C→S  MsgBodyDone                     body returned (results + its error)
 //	S→C  MsgComplete                     enrollment released (values + error)
 //
 // MsgDrain answers an enrollment rejected by a draining host, MsgAbort
-// notifies of a performance aborted between operations, MsgHeartbeat flows
-// client→server at any time as a liveness signal (the server treats *any*
-// frame as liveness and aborts the enroller's performance when the
-// connection stays silent past its heartbeat timeout), and MsgError reports
-// a protocol violation before the connection closes. MsgOverloaded rejects
-// a connection at handshake time when the host is at its connection cap
-// (carrying a retry-after hint); an enrollment shed by admission control is
-// instead answered with an ordinary MsgComplete whose ErrInfo carries
-// CodeOverloaded, so the connection stays usable.
+// notifies of a performance aborted between operations, MsgCancel withdraws
+// one stream's pending offer, MsgHeartbeat flows client→server at any time
+// as a liveness signal (the server treats *any* frame as liveness and
+// aborts the enroller's performances when the connection stays silent past
+// its heartbeat timeout), and MsgError reports a protocol violation before
+// the connection closes. MsgOverloaded rejects a connection at handshake
+// time when the host is at its connection cap (carrying a retry-after
+// hint); an enrollment shed by admission control is instead answered with
+// an ordinary MsgComplete whose ErrInfo carries CodeOverloaded, so the
+// connection stays usable. MsgResume, MsgResumeAck, MsgAck and MsgBye are
+// the session-resumption vocabulary (see Session).
 package wire
 
 import (
@@ -67,30 +74,15 @@ import (
 	"github.com/scriptabs/goscript/internal/metrics"
 )
 
-// Always-on handshake counters, by negotiated protocol version. Incremented
-// at either end of a successful handshake, so on a host they count accepted
-// connections and on a client outbound ones; the v1/v2 split shows how much
-// of the fleet still falls back to the JSON protocol.
-var (
-	connsV1Total = metrics.Get(metrics.WireConnsV1)
-	connsV2Total = metrics.Get(metrics.WireConnsV2)
-)
-
-func countConn(version int) {
-	if version >= 2 {
-		connsV2Total.Inc()
-	} else {
-		connsV1Total.Inc()
-	}
-}
+// connsTotal counts successful handshakes, always on. Incremented at either
+// end, so on a host it counts accepted connections and on a client
+// outbound ones.
+var connsTotal = metrics.Get(metrics.WireConnsV2)
 
 // Protocol constants.
 const (
 	// Magic identifies the protocol in the handshake.
 	Magic = "SCRW"
-	// Version is the protocol version this package speaks. The handshake
-	// fails closed on any mismatch.
-	Version = 1
 	// MaxFrame bounds a frame (type byte + payload) so a corrupt or
 	// malicious length prefix cannot make a peer allocate unboundedly.
 	MaxFrame = 8 << 20
@@ -119,13 +111,12 @@ const (
 	MsgHeartbeat
 	MsgError
 	MsgOverloaded
-	// MsgCancel (v2 only) withdraws one enrollment's pending offer on a
-	// multiplexed connection. v1 has no need for it — a v1 client withdraws
-	// by severing the connection, but a v2 connection is shared by other
-	// streams and must stay up.
+	// MsgCancel withdraws one enrollment's pending offer: the connection is
+	// shared by other streams and must stay up, so withdrawal cannot sever
+	// it.
 	MsgCancel
-	// Session-resumption vocabulary (v2 only, negotiated in the handshake —
-	// see Hello.Resume / HelloAck.ResumeToken). All four ride stream 0 and
+	// Session-resumption vocabulary (negotiated in the handshake — see
+	// Hello.Resume / HelloAck.ResumeToken). All four ride stream 0 and
 	// are therefore outside the resumable-frame count (see Session).
 	MsgResume    // client→host on a redialed conn: re-attach a parked session
 	MsgResumeAck // host→client: session re-attached, replay follows
@@ -187,11 +178,11 @@ func (t MsgType) String() string {
 	}
 }
 
-// Hello is the client's opening frame. Version carries the floor the
-// client insists on (always 1, so a pre-v2 host accepts it), MaxVersion
-// the newest version the client can speak; a host that predates
-// MaxVersion ignores the unknown JSON field and acks v1, which is exactly
-// the fallback we want.
+// Hello is the client's opening frame. Version and MaxVersion bound the
+// protocol versions the client speaks; the host accepts the hello only if
+// the range includes MaxVersion (the one version this package speaks).
+// Clients built before v2 became the only protocol send Version 1 with
+// MaxVersion 2, and still connect.
 type Hello struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
@@ -202,7 +193,7 @@ type Hello struct {
 	// host rejects the handshake if it serves a different script.
 	Script string `json:"script,omitempty"`
 	// Resume advertises that the client can resume a parked session after a
-	// transient connection loss (v2 clients only). Hosts that predate
+	// transient connection loss. Hosts that predate
 	// resumption ignore the field; hosts with resumption disabled leave
 	// HelloAck.ResumeToken empty — either way both sides keep the exact
 	// pre-resumption abort semantics.
@@ -222,8 +213,7 @@ type HelloAck struct {
 	// ResumeToken, when non-empty, is the host-minted session token the
 	// client may present in a RESUME frame after a connection loss, within
 	// ResumeWindowMS of the host noticing the break. Empty when the host has
-	// resumption disabled, the connection is v1, or the client did not
-	// advertise Hello.Resume.
+	// resumption disabled or the client did not advertise Hello.Resume.
 	ResumeToken    string `json:"resume_token,omitempty"`
 	ResumeWindowMS int64  `json:"resume_window_ms,omitempty"`
 }
@@ -348,7 +338,7 @@ type Drain struct{}
 // Heartbeat is the client's liveness signal.
 type Heartbeat struct{}
 
-// Cancel withdraws one enrollment's pending offer on a v2 multiplexed
+// Cancel withdraws one enrollment's pending offer on a multiplexed
 // connection (identified by the frame's stream ID). The host answers with
 // the stream's terminal frame — COMPLETE carrying the withdrawal outcome —
 // and the connection stays usable for its other streams.
@@ -553,9 +543,9 @@ func (e *ErrInfo) Err() error {
 }
 
 // Conn frames messages over a net.Conn. Writes are serialized by an
-// internal mutex (the client's heartbeat goroutine and its body share one
-// connection; the host's bridge and orchestrator likewise), reads must stay
-// single-goroutine. The zero read/write timeouts mean "no deadline".
+// internal mutex (a connection's streams and its heartbeat pump share it),
+// reads must stay single-goroutine. The zero read/write timeouts mean "no
+// deadline".
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
@@ -572,7 +562,7 @@ type Conn struct {
 	// syscalls. flushErr latches the first flush failure; every later
 	// WriteFrame returns it. All four fields are guarded by wmu except
 	// flushReq/quit, which are safe channels. The flusher starts lazily on
-	// the first WriteFrame (v1 connections never pay for it) and exits on
+	// the first WriteFrame (the JSON handshake never needs it) and exits on
 	// Close.
 	dirty       bool
 	flushErr    error
@@ -584,18 +574,14 @@ type Conn struct {
 	// multiplexed streams): the flusher then yields briefly before
 	// flushing so a fan-out burst leaves in one syscall. Off (the
 	// default), frames flush as soon as the flusher sees them — the right
-	// call for a lock-step conversation, where deferring the only
-	// writer's frame is pure latency.
+	// call for a single stream, where deferring the only writer's frame is
+	// pure latency.
 	batchWrites atomic.Bool
 
-	// version is the protocol version negotiated by the handshake (1 until
-	// a handshake says otherwise). It selects the payload codec used by
-	// WriteFrame/ReadFrame.
-	version int
-	// rbuf is ReadFrame's reused frame buffer: each v2 frame is decoded
-	// (fully copied into its message struct) before the next read, so one
-	// buffer per connection suffices. v1's ReadMsg must NOT use it — v1
-	// callers retain raw payloads across reads.
+	// rbuf is ReadFrame's reused frame buffer: each frame is decoded (fully
+	// copied into its message struct) before the next read, so one buffer
+	// per connection suffices. ReadMsg must NOT use it — its callers hold
+	// the raw payload.
 	rbuf []byte
 
 	readTimeout  time.Duration
@@ -611,20 +597,10 @@ func NewConn(nc net.Conn) *Conn {
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 16<<10),
 		bw:       bufio.NewWriterSize(nc, 16<<10),
-		version:  Version,
 		flushReq: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 	}
 }
-
-// Version reports the protocol version negotiated on this connection
-// (Version until a handshake upgrades it).
-func (c *Conn) Version() int { return c.version }
-
-// SetVersion overrides the negotiated protocol version. Tests and bench
-// harnesses use it to exercise a specific codec; production code lets the
-// handshake set it.
-func (c *Conn) SetVersion(v int) { c.version = v }
 
 // SetWriteBatching hints whether several concurrent writers share this
 // connection (see batchWrites). The multiplexing layers toggle it as the
@@ -632,12 +608,12 @@ func (c *Conn) SetVersion(v int) { c.version = v }
 // writes are harmless.
 func (c *Conn) SetWriteBatching(on bool) { c.batchWrites.Store(on) }
 
-// SetReadTimeout bounds each subsequent ReadMsg (0 = unbounded). The host
+// SetReadTimeout bounds each subsequent read (0 = unbounded). The host
 // sets it to its heartbeat timeout: a connection silent for longer is
 // presumed lost.
 func (c *Conn) SetReadTimeout(d time.Duration) { c.readTimeout = d }
 
-// SetWriteTimeout bounds each subsequent WriteMsg (0 = unbounded).
+// SetWriteTimeout bounds each subsequent write (0 = unbounded).
 func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout = d }
 
 // SetFrameDelay injects fn's latency before every frame write; nil disables
@@ -646,21 +622,6 @@ func (c *Conn) SetFrameDelay(fn func() time.Duration) { c.frameDelay = fn }
 
 // RemoteAddr returns the peer's network address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
-// BreakRead forces a concurrently blocked ReadMsg to return with a timeout
-// error by setting an already-expired read deadline. The enroller's idle
-// watcher uses it to reclaim a pooled connection from its watch read; pair
-// with UnbreakRead once the blocked read has returned.
-func (c *Conn) BreakRead() { _ = c.nc.SetReadDeadline(time.Unix(1, 0)) }
-
-// UnbreakRead clears a deadline installed by BreakRead. (A Conn with a
-// read timeout re-arms its deadline on every ReadMsg anyway.)
-func (c *Conn) UnbreakRead() { _ = c.nc.SetReadDeadline(time.Time{}) }
-
-// Buffered reports bytes received but not yet consumed by ReadMsg. A
-// connection reclaimed from an idle watch with buffered bytes was mid-frame
-// and must be treated as unusable.
-func (c *Conn) Buffered() int { return c.br.Buffered() }
 
 // Close closes the underlying connection after a bounded best-effort
 // flush of any frames still buffered (a protocol-error frame written just
@@ -678,7 +639,7 @@ func (c *Conn) Close() error {
 	return c.nc.Close()
 }
 
-// WriteMsg marshals v and writes one framed message.
+// WriteMsg marshals v as JSON and writes one framed handshake message.
 func (c *Conn) WriteMsg(t MsgType, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -711,7 +672,8 @@ func (c *Conn) WriteMsg(t MsgType, v any) error {
 	return c.bw.Flush()
 }
 
-// ReadMsg reads one framed message and returns its type and raw payload.
+// ReadMsg reads one framed handshake message and returns its type and raw
+// JSON payload.
 func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	if c.readTimeout > 0 {
 		if err := c.nc.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
@@ -733,13 +695,13 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	return MsgType(body[0]), body[1:], nil
 }
 
-// Decode unmarshals a frame payload into v.
+// Decode unmarshals a handshake payload into v.
 func Decode(payload []byte, v any) error {
 	return json.Unmarshal(payload, v)
 }
 
-// writeBufPool recycles frame-encode buffers across connections so the v2
-// hot path writes without per-frame allocation. Buffers that grew beyond
+// writeBufPool recycles frame-encode buffers across connections so the hot
+// path writes without per-frame allocation. Buffers that grew beyond
 // 64 KiB are dropped rather than pinned.
 var writeBufPool = sync.Pool{
 	New: func() any {
@@ -750,16 +712,15 @@ var writeBufPool = sync.Pool{
 
 const maxPooledBuf = 64 << 10
 
-// WriteFrame encodes m with the connection's negotiated codec and writes
-// one framed message. stream and seq are the v2 multiplexing envelope and
-// must be zero on a v1 connection. The encode buffer is pooled: steady-state
-// v2 writes allocate nothing.
+// WriteFrame encodes m with the binary codec and writes one framed message.
+// stream and seq are the multiplexing envelope. The encode buffer is
+// pooled: steady-state writes allocate nothing.
 func (c *Conn) WriteFrame(t MsgType, stream, seq uint64, m any) error {
 	bp := writeBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	// Reserve the 5-byte header up front so payload bytes append in place.
 	buf = append(buf, 0, 0, 0, 0, 0)
-	buf, err := AppendPayload(buf, c.version, t, stream, seq, m)
+	buf, err := AppendPayload(buf, MaxVersion, t, stream, seq, m)
 	if err != nil {
 		writeBufPool.Put(bp)
 		return err
@@ -849,8 +810,8 @@ func (c *Conn) flusher() {
 	}
 }
 
-// ReadFrame reads one framed message and decodes it with the connection's
-// negotiated codec, returning the concrete message struct (see
+// ReadFrame reads one framed message and decodes it with the binary codec,
+// returning the concrete message struct (see
 // ParsePayload). The internal read buffer is reused: everything returned is
 // fully copied out of it, so ReadFrame is allocation-lean but the caller
 // must not hold raw payload bytes (it never sees them).
@@ -876,17 +837,19 @@ func (c *Conn) ReadFrame() (t MsgType, stream, seq uint64, m any, err error) {
 		return 0, 0, 0, nil, err
 	}
 	t = MsgType(body[0])
-	stream, seq, m, err = ParsePayload(c.version, t, body[1:])
+	stream, seq, m, err = ParsePayload(MaxVersion, t, body[1:])
 	if err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("wire: decode %s: %w", t, err)
 	}
 	return t, stream, seq, m, nil
 }
 
-// ClientHandshake runs the client side of the handshake. script, when
-// non-empty, asserts the served script's name.
-func ClientHandshake(c *Conn, script string) (HelloAck, error) {
-	if err := c.WriteMsg(MsgHello, Hello{Magic: Magic, Version: Version, Script: script}); err != nil {
+// ClientHandshakeResume runs the client side of the handshake. script,
+// when non-empty, asserts the served script's name. resume advertises the
+// session-resumption capability: a host that supports it mints a session
+// token into the returned HelloAck; every other host ignores the flag.
+func ClientHandshakeResume(c *Conn, script string, resume bool) (HelloAck, error) {
+	if err := c.WriteMsg(MsgHello, Hello{Magic: Magic, Version: MaxVersion, Script: script, Resume: resume}); err != nil {
 		return HelloAck{}, err
 	}
 	t, payload, err := c.ReadMsg()
@@ -899,10 +862,10 @@ func ClientHandshake(c *Conn, script string) (HelloAck, error) {
 		if err := Decode(payload, &ack); err != nil {
 			return HelloAck{}, err
 		}
-		if ack.Version != Version {
-			return HelloAck{}, fmt.Errorf("wire: host speaks protocol v%d, client v%d", ack.Version, Version)
+		if ack.Version != MaxVersion {
+			return HelloAck{}, fmt.Errorf("wire: host picked protocol v%d, client speaks v%d", ack.Version, MaxVersion)
 		}
-		countConn(ack.Version)
+		connsTotal.Inc()
 		return ack, nil
 	case MsgOverloaded:
 		var ov Overloaded
@@ -920,120 +883,14 @@ func ClientHandshake(c *Conn, script string) (HelloAck, error) {
 	}
 }
 
-// ServerHandshake runs the host side of the handshake: it validates the
-// client's hello against the served script name and protocol version,
+// ServerHandshakeVExt runs the host side of the handshake: it validates the
+// client's hello against the served script name and protocol version range,
 // replying MsgHelloAck on success or MsgError (and an error) on mismatch.
-func ServerHandshake(c *Conn, script string) error {
-	t, payload, err := c.ReadMsg()
-	if err != nil {
-		return err
-	}
-	if t != MsgHello {
-		return c.reject(fmt.Sprintf("expected HELLO, got %s", t))
-	}
-	var h Hello
-	if err := Decode(payload, &h); err != nil {
-		return c.reject("malformed HELLO")
-	}
-	if h.Magic != Magic {
-		return c.reject("bad magic")
-	}
-	if h.Version != Version {
-		return c.reject(fmt.Sprintf("host speaks protocol v%d, client v%d", Version, h.Version))
-	}
-	if h.Script != "" && h.Script != script {
-		return c.reject(fmt.Sprintf("host serves script %q, client wants %q", script, h.Script))
-	}
-	if err := c.WriteMsg(MsgHelloAck, HelloAck{Version: Version, Script: script}); err != nil {
-		return err
-	}
-	countConn(Version)
-	return nil
-}
-
-func (c *Conn) reject(msg string) error {
-	_ = c.WriteMsg(MsgError, ProtoError{Msg: msg})
-	return fmt.Errorf("wire: handshake rejected: %s", msg)
-}
-
-// ClientHandshakeV runs the client side of the version-negotiating
-// handshake: it offers every version in [Version, maxVersion] and accepts
-// whichever the host picks, recording it on the connection (see
-// Conn.Version). A host that predates version negotiation ignores the
-// MaxVersion field and acks v1 — the compatible fallback. maxVersion is
-// clamped to [Version, MaxVersion].
-func ClientHandshakeV(c *Conn, script string, maxVersion int) (HelloAck, error) {
-	return ClientHandshakeResume(c, script, maxVersion, false)
-}
-
-// ClientHandshakeResume is ClientHandshakeV with the session-resumption
-// capability advertised when resume is true. A host that supports it (and
-// negotiates v2) mints a session token into the returned HelloAck; every
-// other host ignores the flag.
-func ClientHandshakeResume(c *Conn, script string, maxVersion int, resume bool) (HelloAck, error) {
-	if maxVersion > MaxVersion {
-		maxVersion = MaxVersion
-	}
-	if maxVersion < Version {
-		maxVersion = Version
-	}
-	if err := c.WriteMsg(MsgHello, Hello{Magic: Magic, Version: Version, MaxVersion: maxVersion, Script: script, Resume: resume}); err != nil {
-		return HelloAck{}, err
-	}
-	t, payload, err := c.ReadMsg()
-	if err != nil {
-		return HelloAck{}, err
-	}
-	switch t {
-	case MsgHelloAck:
-		var ack HelloAck
-		if err := Decode(payload, &ack); err != nil {
-			return HelloAck{}, err
-		}
-		if ack.Version < Version || ack.Version > maxVersion {
-			return HelloAck{}, fmt.Errorf("wire: host picked protocol v%d, client offered v%d..v%d", ack.Version, Version, maxVersion)
-		}
-		c.version = ack.Version
-		countConn(ack.Version)
-		return ack, nil
-	case MsgOverloaded:
-		var ov Overloaded
-		_ = Decode(payload, &ov)
-		return HelloAck{}, &core.OverloadError{
-			Reason:     ov.Msg,
-			RetryAfter: time.Duration(ov.RetryAfterMS) * time.Millisecond,
-		}
-	case MsgError:
-		var pe ProtoError
-		_ = Decode(payload, &pe)
-		return HelloAck{}, fmt.Errorf("wire: host rejected handshake: %s", pe.Msg)
-	default:
-		return HelloAck{}, fmt.Errorf("wire: unexpected %s during handshake", t)
-	}
-}
-
-// ServerHandshakeV runs the host side of the version-negotiating handshake,
-// picking the highest version both sides speak (at most maxVersion, clamped
-// to [Version, MaxVersion]) and recording it on the connection. Clients
-// that don't advertise MaxVersion — every pre-v2 client — negotiate v1.
-func ServerHandshakeV(c *Conn, script string, maxVersion int) error {
-	_, err := ServerHandshakeVExt(c, script, maxVersion, nil)
-	return err
-}
-
-// ServerHandshakeVExt is ServerHandshakeV with host-side HELLO-ACK
-// decoration: after version negotiation succeeds, decorate (when non-nil)
-// may add optional fields — a resume token, the heartbeat-timeout advert —
-// to the outgoing ack based on the client's Hello and the negotiated
-// version (already recorded in ack.Version). The client's Hello is returned
-// so the host can key behavior off its capability flags.
-func ServerHandshakeVExt(c *Conn, script string, maxVersion int, decorate func(h Hello, ack *HelloAck)) (Hello, error) {
-	if maxVersion > MaxVersion {
-		maxVersion = MaxVersion
-	}
-	if maxVersion < Version {
-		maxVersion = Version
-	}
+// After validation succeeds, decorate (when non-nil) may add optional
+// fields — a resume token, the heartbeat-timeout advert — to the outgoing
+// ack based on the client's Hello. The client's Hello is returned so the
+// host can key behavior off its capability flags.
+func ServerHandshakeVExt(c *Conn, script string, decorate func(h Hello, ack *HelloAck)) (Hello, error) {
 	t, payload, err := c.ReadMsg()
 	if err != nil {
 		return Hello{}, err
@@ -1052,26 +909,26 @@ func ServerHandshakeVExt(c *Conn, script string, maxVersion int, decorate func(h
 	if clientMax < h.Version {
 		clientMax = h.Version
 	}
-	if h.Version > maxVersion || clientMax < Version {
-		return Hello{}, c.reject(fmt.Sprintf("host speaks protocol v%d..v%d, client v%d..v%d", Version, maxVersion, h.Version, clientMax))
+	if h.Version > MaxVersion || clientMax < MaxVersion {
+		return Hello{}, c.reject(fmt.Sprintf("host speaks protocol v%d, client v%d..v%d", MaxVersion, h.Version, clientMax))
 	}
 	if h.Script != "" && h.Script != script {
 		return Hello{}, c.reject(fmt.Sprintf("host serves script %q, client wants %q", script, h.Script))
 	}
-	ver := clientMax
-	if ver > maxVersion {
-		ver = maxVersion
-	}
-	ack := HelloAck{Version: ver, Script: script}
+	ack := HelloAck{Version: MaxVersion, Script: script}
 	if decorate != nil {
 		decorate(h, &ack)
 	}
 	if err := c.WriteMsg(MsgHelloAck, ack); err != nil {
 		return Hello{}, err
 	}
-	c.version = ver
-	countConn(ver)
+	connsTotal.Inc()
 	return h, nil
+}
+
+func (c *Conn) reject(msg string) error {
+	_ = c.WriteMsg(MsgError, ProtoError{Msg: msg})
+	return fmt.Errorf("wire: handshake rejected: %s", msg)
 }
 
 // EncodeRoleRef renders a role reference for the wire.

@@ -21,56 +21,55 @@ func pipeConns(t *testing.T) (*Conn, *Conn) {
 	return ca, cb
 }
 
+// serverHandshake runs the host side of the handshake with no HELLO-ACK
+// decoration.
+func serverHandshake(c *Conn, script string) error {
+	_, err := ServerHandshakeVExt(c, script, nil)
+	return err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
-		_ = ca.WriteMsg(MsgEnroll, Enroll{
-			PID:  "listener-1",
-			Role: "recipient[1]",
-			Args: []any{"hello", 3.0},
-			With: map[string][]string{"sender": {"A", "B"}},
-		})
+		_ = ca.WriteMsg(MsgHello, Hello{Magic: Magic, Version: 1, MaxVersion: MaxVersion, Script: "broadcast", Resume: true})
 	}()
 	typ, payload, err := cb.ReadMsg()
 	if err != nil {
 		t.Fatalf("ReadMsg: %v", err)
 	}
-	if typ != MsgEnroll {
-		t.Fatalf("type = %v, want MsgEnroll", typ)
+	if typ != MsgHello {
+		t.Fatalf("type = %v, want MsgHello", typ)
 	}
-	var e Enroll
-	if err := Decode(payload, &e); err != nil {
+	var h Hello
+	if err := Decode(payload, &h); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if e.PID != "listener-1" || e.Role != "recipient[1]" || len(e.Args) != 2 {
-		t.Fatalf("round trip mangled enrollment: %+v", e)
-	}
-	if got := e.With["sender"]; len(got) != 2 || got[0] != "A" {
-		t.Fatalf("partner constraints mangled: %+v", e.With)
+	if h.Magic != Magic || h.Version != 1 || h.MaxVersion != MaxVersion || h.Script != "broadcast" || !h.Resume {
+		t.Fatalf("round trip mangled hello: %+v", h)
 	}
 }
 
 func TestHandshake(t *testing.T) {
 	ca, cb := pipeConns(t)
 	errCh := make(chan error, 1)
-	go func() { errCh <- ServerHandshake(cb, "broadcast") }()
-	ack, err := ClientHandshake(ca, "broadcast")
+	go func() { errCh <- serverHandshake(cb, "broadcast") }()
+	ack, err := ClientHandshakeResume(ca, "broadcast", false)
 	if err != nil {
-		t.Fatalf("ClientHandshake: %v", err)
+		t.Fatalf("ClientHandshakeResume: %v", err)
 	}
-	if ack.Script != "broadcast" || ack.Version != Version {
+	if ack.Script != "broadcast" || ack.Version != MaxVersion {
 		t.Fatalf("ack = %+v", ack)
 	}
 	if err := <-errCh; err != nil {
-		t.Fatalf("ServerHandshake: %v", err)
+		t.Fatalf("ServerHandshakeVExt: %v", err)
 	}
 }
 
 func TestHandshakeScriptMismatch(t *testing.T) {
 	ca, cb := pipeConns(t)
 	errCh := make(chan error, 1)
-	go func() { errCh <- ServerHandshake(cb, "lock_manager") }()
-	_, err := ClientHandshake(ca, "broadcast")
+	go func() { errCh <- serverHandshake(cb, "lock_manager") }()
+	_, err := ClientHandshakeResume(ca, "broadcast", false)
 	if err == nil || !strings.Contains(err.Error(), "lock_manager") {
 		t.Fatalf("client err = %v, want script-mismatch rejection", err)
 	}
@@ -79,22 +78,40 @@ func TestHandshakeScriptMismatch(t *testing.T) {
 	}
 }
 
+// TestHandshakeVersionMismatch checks that a HELLO whose version range
+// excludes the one protocol the host speaks is rejected with a protocol
+// error, whether the range lies above it or below it.
 func TestHandshakeVersionMismatch(t *testing.T) {
-	ca, cb := pipeConns(t)
-	errCh := make(chan error, 1)
-	go func() { errCh <- ServerHandshake(cb, "s") }()
-	if err := ca.WriteMsg(MsgHello, Hello{Magic: Magic, Version: Version + 7}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		hello Hello
+	}{
+		{"future version", Hello{Magic: Magic, Version: MaxVersion + 7}},
+		{"v1 only", Hello{Magic: Magic, Version: 1}},
 	}
-	typ, _, err := ca.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgError {
-		t.Fatalf("reply = %v, want MsgError", typ)
-	}
-	if err := <-errCh; err == nil {
-		t.Fatal("server accepted wrong version")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ca, cb := pipeConns(t)
+			errCh := make(chan error, 1)
+			go func() { errCh <- serverHandshake(cb, "s") }()
+			if err := ca.WriteMsg(MsgHello, tc.hello); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := ca.ReadMsg()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != MsgError {
+				t.Fatalf("reply = %v, want MsgError", typ)
+			}
+			var pe ProtoError
+			if err := Decode(payload, &pe); err != nil || !strings.Contains(pe.Msg, "protocol") {
+				t.Fatalf("ProtoError = %+v (%v), want a protocol-version rejection", pe, err)
+			}
+			if err := <-errCh; err == nil {
+				t.Fatal("server accepted wrong version")
+			}
+		})
 	}
 }
 
@@ -263,12 +280,12 @@ func TestHandshakeOverloaded(t *testing.T) {
 		}
 		done <- cb.WriteMsg(MsgOverloaded, Overloaded{RetryAfterMS: 50, Msg: "connection cap reached"})
 	}()
-	_, err := ClientHandshake(ca, "broadcast")
+	_, err := ClientHandshakeResume(ca, "broadcast", false)
 	if werr := <-done; werr != nil {
 		t.Fatalf("host write: %v", werr)
 	}
 	if !errors.Is(err, core.ErrOverloaded) {
-		t.Fatalf("ClientHandshake err = %v, want ErrOverloaded", err)
+		t.Fatalf("ClientHandshakeResume err = %v, want ErrOverloaded", err)
 	}
 	var oe *core.OverloadError
 	if !errors.As(err, &oe) {
