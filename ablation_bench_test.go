@@ -3,14 +3,13 @@
 package script_test
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/ids"
 	"github.com/scriptabs/goscript/internal/patterns"
+	"github.com/scriptabs/goscript/internal/perfbench"
 )
 
 // BenchmarkAblationInitiationPolicy runs one identical star-shaped body
@@ -21,22 +20,22 @@ func BenchmarkAblationInitiationPolicy(b *testing.B) {
 	for _, init := range []core.Initiation{core.DelayedInitiation, core.ImmediateInitiation} {
 		b.Run("initiation="+init.String(), func(b *testing.B) {
 			def := core.NewScript("abl_init").
-				Role("s", func(rc core.Ctx) error {
+				Role(patterns.RoleSender, func(rc core.Ctx) error {
 					for i := 1; i <= n; i++ {
-						if err := rc.Send(ids.Member("r", i), 1); err != nil {
+						if err := rc.Send(ids.Member(patterns.RoleRecipient, i), 1); err != nil {
 							return err
 						}
 					}
 					return nil
 				}).
-				Family("r", n, func(rc core.Ctx) error {
-					_, err := rc.Recv(ids.Role("s"))
+				Family(patterns.RoleRecipient, n, func(rc core.Ctx) error {
+					_, err := rc.Recv(ids.Role(patterns.RoleSender))
 					return err
 				}).
 				Initiation(init).
 				Termination(core.ImmediateTermination).
 				MustBuild()
-			runAblationBroadcast(b, def, n)
+			perfbench.Broadcast(b, def, n)
 		})
 	}
 }
@@ -47,22 +46,22 @@ func BenchmarkAblationTerminationPolicy(b *testing.B) {
 	for _, term := range []core.Termination{core.DelayedTermination, core.ImmediateTermination} {
 		b.Run("termination="+term.String(), func(b *testing.B) {
 			def := core.NewScript("abl_term").
-				Role("s", func(rc core.Ctx) error {
+				Role(patterns.RoleSender, func(rc core.Ctx) error {
 					for i := 1; i <= n; i++ {
-						if err := rc.Send(ids.Member("r", i), 1); err != nil {
+						if err := rc.Send(ids.Member(patterns.RoleRecipient, i), 1); err != nil {
 							return err
 						}
 					}
 					return nil
 				}).
-				Family("r", n, func(rc core.Ctx) error {
-					_, err := rc.Recv(ids.Role("s"))
+				Family(patterns.RoleRecipient, n, func(rc core.Ctx) error {
+					_, err := rc.Recv(ids.Role(patterns.RoleSender))
 					return err
 				}).
 				Initiation(core.DelayedInitiation).
 				Termination(term).
 				MustBuild()
-			runAblationBroadcast(b, def, n)
+			perfbench.Broadcast(b, def, n)
 		})
 	}
 }
@@ -74,57 +73,29 @@ func BenchmarkAblationPartnerNaming(b *testing.B) {
 	const n = 4
 	def := patterns.StarBroadcast(n)
 
-	fullBinding := func() map[ids.RoleRef]ids.PIDSet {
-		with := map[ids.RoleRef]ids.PIDSet{ids.Role(patterns.RoleSender): ids.NewPIDSet("T")}
-		for i := 1; i <= n; i++ {
-			with[ids.Member(patterns.RoleRecipient, i)] = ids.NewPIDSet(ids.PID(fmt.Sprintf("R%d", i)))
-		}
-		return with
+	full := map[ids.RoleRef]ids.PIDSet{ids.Role(patterns.RoleSender): ids.NewPIDSet("T")}
+	for i := 1; i <= n; i++ {
+		full[ids.Member(patterns.RoleRecipient, i)] = ids.NewPIDSet(ids.PID(fmt.Sprintf("R%d", i)))
 	}
 
 	for _, named := range []bool{false, true} {
 		name := "naming=unnamed"
+		var with map[ids.RoleRef]ids.PIDSet
 		if named {
-			name = "naming=full"
+			name, with = "naming=full", full
 		}
 		b.Run(name, func(b *testing.B) {
 			in := core.NewInstance(def)
 			defer in.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var wg sync.WaitGroup
-			for i := 1; i <= n; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						e := core.Enrollment{
-							PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member(patterns.RoleRecipient, i),
-						}
-						if named {
-							e.With = fullBinding()
-						}
-						if _, err := in.Enroll(ctx, e); err != nil {
-							return
-						}
-					}
-				}()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := core.Enrollment{PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i}}
-				if named {
-					e.With = fullBinding()
-				}
-				if _, err := in.Enroll(ctx, e); err != nil {
-					b.Fatal(err)
+			recipients := make([]core.Enrollment, n)
+			for i := range recipients {
+				recipients[i] = core.Enrollment{
+					PID: ids.PID(fmt.Sprintf("R%d", i+1)), Role: ids.Member(patterns.RoleRecipient, i+1), With: with,
 				}
 			}
-			b.StopTimer()
-			cancel()
-			in.Close()
-			wg.Wait()
+			perfbench.Cast(b, in.Enroll, in.Close, recipients, func(i int) core.Enrollment {
+				return core.Enrollment{PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i}, With: with}
+			})
 		})
 	}
 }
@@ -182,78 +153,16 @@ func BenchmarkAblationCriticalSets(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			in := core.NewInstance(build(withCritical))
 			defer in.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var wg sync.WaitGroup
+			residents := make([]core.Enrollment, 0, k+1)
 			for i := 1; i <= k; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := in.Enroll(ctx, core.Enrollment{
-							PID: ids.PID(fmt.Sprintf("M%d", i)), Role: ids.Member("m", i),
-						}); err != nil {
-							return
-						}
-					}
-				}()
+				residents = append(residents, core.Enrollment{PID: ids.PID(fmt.Sprintf("M%d", i)), Role: ids.Member("m", i)})
 			}
 			if !withCritical {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := in.Enroll(ctx, core.Enrollment{PID: "W", Role: ids.Role("wr")}); err != nil {
-							return
-						}
-					}
-				}()
+				residents = append(residents, core.Enrollment{PID: "W", Role: ids.Role("wr")})
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Enroll(ctx, core.Enrollment{PID: "R", Role: ids.Role("rd")}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			in.Close()
-			wg.Wait()
+			perfbench.Cast(b, in.Enroll, in.Close, residents, func(int) core.Enrollment {
+				return core.Enrollment{PID: "R", Role: ids.Role("rd")}
+			})
 		})
 	}
-}
-
-// runAblationBroadcast drives b.N performances of a star-shaped def.
-func runAblationBroadcast(b *testing.B, def core.Definition, n int) {
-	b.Helper()
-	in := core.NewInstance(def)
-	defer in.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, err := in.Enroll(ctx, core.Enrollment{
-					PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member("r", i),
-				}); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := in.Enroll(ctx, core.Enrollment{PID: "T", Role: ids.Role("s")}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	cancel()
-	in.Close()
-	wg.Wait()
 }

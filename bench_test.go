@@ -1,17 +1,17 @@
-// Benchmarks: one per experiment of DESIGN.md's index (E1–E14). Each
+// Benchmarks: one per experiment of DESIGN.md's index (E01–E14). Each
 // regenerates the performance-relevant side of the corresponding paper
-// figure or claim; cmd/scriptbench prints the semantic tables.
+// figure or claim; cmd/scriptbench prints the semantic tables. The
+// workloads they share with the benchmark catalog run on the catalog's
+// drivers (internal/perfbench), whose own entries run there as
+// BenchmarkCatalog/<name>.
 package script_test
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	script "github.com/scriptabs/goscript"
 	"github.com/scriptabs/goscript/internal/ada"
 	"github.com/scriptabs/goscript/internal/core"
 	"github.com/scriptabs/goscript/internal/csp"
@@ -20,107 +20,22 @@ import (
 	"github.com/scriptabs/goscript/internal/locktable"
 	"github.com/scriptabs/goscript/internal/match"
 	"github.com/scriptabs/goscript/internal/patterns"
-	"github.com/scriptabs/goscript/internal/remote"
+	"github.com/scriptabs/goscript/internal/perfbench"
 	"github.com/scriptabs/goscript/internal/sim"
 	"github.com/scriptabs/goscript/internal/trans/adax"
 	"github.com/scriptabs/goscript/internal/trans/cspx"
 	"github.com/scriptabs/goscript/internal/trans/monx"
 )
 
-// broadcastHarness keeps n recipient goroutines enrolling repeatedly so the
-// benchmark loop can drive one performance per sender enrollment.
-type broadcastHarness struct {
-	in     *core.Instance
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-}
-
-func startBroadcastHarness(def core.Definition, n int) *broadcastHarness {
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &broadcastHarness{in: core.NewInstance(def), cancel: cancel}
-	for i := 1; i <= n; i++ {
-		i := i
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			for {
-				if _, err := h.in.Enroll(ctx, core.Enrollment{
-					PID: ids.PID(fmt.Sprintf("R%d", i)), Role: ids.Member(patterns.RoleRecipient, i),
-				}); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	return h
-}
-
-func (h *broadcastHarness) send(b *testing.B, v any) {
-	if _, err := h.in.Enroll(context.Background(), core.Enrollment{
-		PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{v},
-	}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func (h *broadcastHarness) stop() {
-	h.cancel()
-	h.in.Close()
-	h.wg.Wait()
-}
-
 // BenchmarkE01SuccessivePerformances measures the cost of the successive-
 // activation barrier itself: a minimal three-role script with empty bodies,
 // one performance per iteration (Figure 1's machinery).
-func BenchmarkE01SuccessivePerformances(b *testing.B) {
-	def := core.NewScript("fig1").
-		Role("p", func(rc core.Ctx) error { return nil }).
-		Role("q", func(rc core.Ctx) error { return nil }).
-		Role("r", func(rc core.Ctx) error { return nil }).
-		Initiation(core.ImmediateInitiation).
-		Termination(core.ImmediateTermination).
-		MustBuild()
-	in := core.NewInstance(def)
-	defer in.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var wg sync.WaitGroup
-	for _, role := range []string{"q", "r"} {
-		role := role
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, err := in.Enroll(ctx, core.Enrollment{
-					PID: ids.PID(role + "-proc"), Role: ids.Role(role),
-				}); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := in.Enroll(ctx, core.Enrollment{PID: "p-proc", Role: ids.Role("p")}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	cancel()
-	in.Close()
-	wg.Wait()
-}
+func BenchmarkE01SuccessivePerformances(b *testing.B) { perfbench.Successive(b) }
 
 // BenchmarkE02RepeatedEnrollment measures Figure 2's repeated-enrollment
 // pairing: one broadcast performance per iteration with two recipients.
 func BenchmarkE02RepeatedEnrollment(b *testing.B) {
-	h := startBroadcastHarness(patterns.StarBroadcast(2), 2)
-	defer h.stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.send(b, i)
-	}
+	perfbench.Broadcast(b, patterns.StarBroadcast(2), 2)
 }
 
 // BenchmarkE03StarBroadcast measures Figure 3's performance cost across
@@ -128,12 +43,7 @@ func BenchmarkE02RepeatedEnrollment(b *testing.B) {
 func BenchmarkE03StarBroadcast(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			h := startBroadcastHarness(patterns.StarBroadcast(n), n)
-			defer h.stop()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.send(b, i)
-			}
+			perfbench.Broadcast(b, patterns.StarBroadcast(n), n)
 		})
 	}
 }
@@ -143,12 +53,7 @@ func BenchmarkE03StarBroadcast(b *testing.B) {
 func BenchmarkE04PipelineBroadcast(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			h := startBroadcastHarness(patterns.PipelineBroadcast(n), n)
-			defer h.stop()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.send(b, i)
-			}
+			perfbench.Broadcast(b, patterns.PipelineBroadcast(n), n)
 		})
 	}
 }
@@ -447,33 +352,13 @@ func BenchmarkE12OpenEnded(b *testing.B) {
 				MustBuild()
 			in := core.NewInstance(def)
 			defer in.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var wg sync.WaitGroup
-			for i := 1; i <= n; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := in.Enroll(ctx, core.Enrollment{
-							PID: ids.PID(fmt.Sprintf("W%d", i)), Role: ids.Member("w", i),
-						}); err != nil {
-							return
-						}
-					}
-				}()
+			workers := make([]core.Enrollment, n)
+			for i := range workers {
+				workers[i] = core.Enrollment{PID: ids.PID(fmt.Sprintf("W%d", i+1)), Role: ids.Member("w", i+1)}
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Enroll(ctx, core.Enrollment{PID: "H", Role: ids.Role("hub")}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			in.Close()
-			wg.Wait()
+			perfbench.Cast(b, in.Enroll, in.Close, workers, func(int) core.Enrollment {
+				return core.Enrollment{PID: "H", Role: ids.Role("hub")}
+			})
 		})
 	}
 }
@@ -521,94 +406,9 @@ func BenchmarkE13DistributedEnrollment(b *testing.B) {
 	}
 }
 
-// BenchmarkE15ContendedEnrollment measures the scheduler's per-performance
-// cost under heavy contention for one role: N concurrent enrollers
-// collectively complete b.N single-role performances. This is the hot path
-// the targeted-wakeup/incremental-match scheduler optimizes — under the old
-// broadcast scheme every performance woke all N contenders and each re-ran
-// the full match under the instance lock.
-func BenchmarkE15ContendedEnrollment(b *testing.B) {
-	for _, n := range []int{4, 64} {
-		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			def := core.NewScript("slot").
-				Role("only", func(rc core.Ctx) error { return nil }).
-				MustBuild()
-			in := core.NewInstance(def)
-			defer in.Close()
-			var next atomic.Int64
-			var failures atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < n; w++ {
-				pid := ids.PID(fmt.Sprintf("W%d", w))
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if _, err := in.Enroll(context.Background(), core.Enrollment{PID: pid, Role: ids.Role("only")}); err != nil {
-							failures.Add(1)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			if failures.Load() > 0 {
-				b.Fatalf("%d enrollments failed", failures.Load())
-			}
-		})
-	}
-}
-
-// BenchmarkE16PoolThroughput measures script.Pool against a single
-// instance: 64 concurrent enrollers drive b.N single-role performances
-// through a pool of 1 vs 4 instances. The role body blocks briefly
-// (modeling an I/O-bound role): a single instance serializes the bodies by
-// the successive-activations rule, while the pool overlaps one performance
-// per instance (the paper's multiple-instances route to concurrency).
-func BenchmarkE16PoolThroughput(b *testing.B) {
-	def := script.New("slot").
-		Role("only", func(rc script.Ctx) error {
-			time.Sleep(20 * time.Microsecond)
-			return nil
-		}).
-		MustBuild()
-	for _, size := range []int{1, 4} {
-		b.Run(fmt.Sprintf("instances=%d", size), func(b *testing.B) {
-			pool := script.NewPool(def, size)
-			defer pool.Close()
-			const workers = 64
-			var next atomic.Int64
-			var failures atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < workers; w++ {
-				pid := script.PID(fmt.Sprintf("W%d", w))
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if _, err := pool.Enroll(context.Background(), script.Enrollment{
-							PID: pid, Role: script.Role("only"),
-						}); err != nil {
-							failures.Add(1)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			if failures.Load() > 0 {
-				b.Fatalf("%d enrollments failed", failures.Load())
-			}
-		})
-	}
-}
-
 // BenchmarkE14Fairness measures contended enrollment under the two
-// contention policies.
+// contention policies: three resident contenders keep the role contested
+// while the foreground process enrolls once per iteration.
 func BenchmarkE14Fairness(b *testing.B) {
 	for _, fairness := range []struct {
 		name string
@@ -620,97 +420,13 @@ func BenchmarkE14Fairness(b *testing.B) {
 				MustBuild()
 			in := core.NewInstance(def, core.WithFairness(fairness.f, 42))
 			defer in.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			// Three background contenders keep the role contested.
-			var wg sync.WaitGroup
+			var contenders []core.Enrollment
 			for c := 0; c < 3; c++ {
-				pid := ids.PID(fmt.Sprintf("bg%d", c))
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := in.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only")}); err != nil {
-							return
-						}
-					}
-				}()
+				contenders = append(contenders, core.Enrollment{PID: ids.PID(fmt.Sprintf("bg%d", c)), Role: ids.Role("only")})
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Enroll(ctx, core.Enrollment{PID: "fg", Role: ids.Role("only")}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			in.Close()
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkE17RemoteStarBroadcast is E03 pushed through the wire: a
-// remote.Host serves the star broadcast on loopback TCP, n resident
-// recipients re-enroll through a shared Enroller (one pooled connection
-// per concurrent enrollment), and each iteration is one sender enrollment
-// — a full broadcast performance whose every role body runs client-side,
-// each communication op one request/response frame pair. Compare with E03
-// at equal N for the process-boundary cost (BENCH_E7.json records it).
-func BenchmarkE17RemoteStarBroadcast(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			in := core.NewInstance(patterns.StarBroadcast(n))
-			h := remote.NewHost(in, remote.HostConfig{})
-			if err := h.Listen("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			go h.Serve()
-			enr := remote.NewEnroller(h.Addr().String(), remote.EnrollerConfig{Script: "star_broadcast"})
-			ctx, cancel := context.WithCancel(context.Background())
-			recvBody := func(rc core.Ctx) error {
-				v, err := rc.Recv(ids.Role(patterns.RoleSender))
-				if err != nil {
-					return err
-				}
-				rc.SetResult(0, v)
-				return nil
-			}
-			tos := make([]ids.RoleRef, n)
-			for i := 1; i <= n; i++ {
-				tos[i-1] = ids.Member(patterns.RoleRecipient, i)
-			}
-			var wg sync.WaitGroup
-			for i := 1; i <= n; i++ {
-				pid := ids.PID(fmt.Sprintf("R%d", i))
-				role := ids.Member(patterns.RoleRecipient, i)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: role, Body: recvBody}); err != nil {
-							return
-						}
-					}
-				}()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				val := i
-				_, err := enr.Enroll(ctx, core.Enrollment{
-					PID: "T", Role: ids.Role(patterns.RoleSender),
-					Body: func(rc core.Ctx) error { return rc.SendAll(tos, val) },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			wg.Wait()
-			enr.Close()
-			h.Close()
-			in.Close()
+			perfbench.Cast(b, in.Enroll, in.Close, contenders, func(int) core.Enrollment {
+				return core.Enrollment{PID: "fg", Role: ids.Role("only")}
+			})
 		})
 	}
 }

@@ -2,16 +2,15 @@
 // figure or comparative claim of the paper (DESIGN.md's E1–E14 index) — and
 // prints each result table. EXPERIMENTS.md records a reference run.
 //
-// With -json it instead runs the scheduler performance acceptance suite
-// (internal/perfbench) and writes one BENCH_<ID>.json per measurement into
-// -outdir. If -baseline names a directory holding prior BENCH_<ID>.json
-// files, each new result also records baseline_ns_per_op and delta_pct
-// (positive = faster than the baseline).
+// With -json it instead runs the benchmark catalog (internal/perfbench)
+// and writes one BENCH_<name>.json per entry into -outdir. An entry with a
+// comparison arm measures it in the same run (baseline_ns_per_op,
+// delta_pct).
 //
 // Usage:
 //
 //	scriptbench [-only E05] [-timeout 5m]
-//	scriptbench -json [-outdir .] [-baseline old/] [-only E3]
+//	scriptbench -json [-outdir .] [-only contended-enrollment-64]
 package main
 
 import (
@@ -37,17 +36,16 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("scriptbench", flag.ContinueOnError)
-	only := fs.String("only", "", "run only the experiment with this ID (e.g. E05, or E3 with -json)")
+	only := fs.String("only", "", "run only the experiment with this ID (e.g. E05), or with -json the catalog entry with this name")
 	timeout := fs.Duration("timeout", 5*time.Minute, "overall time budget")
-	jsonMode := fs.Bool("json", false, "run the performance suite and write BENCH_<ID>.json files")
-	outdir := fs.String("outdir", ".", "directory for BENCH_<ID>.json files (with -json)")
-	baseline := fs.String("baseline", "", "directory with prior BENCH_<ID>.json files to diff against (with -json)")
+	jsonMode := fs.Bool("json", false, "run the benchmark catalog and write BENCH_<name>.json files")
+	outdir := fs.String("outdir", ".", "directory for BENCH_<name>.json files (with -json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *jsonMode {
-		return runJSON(out, *only, *outdir, *baseline)
+		return runJSON(out, *only, *outdir)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -78,28 +76,23 @@ func run(args []string, out *os.File) error {
 	return nil
 }
 
-// runJSON runs the perfbench suite and writes BENCH_<ID>.json files.
-func runJSON(out *os.File, only, outdir, baseline string) error {
+// runJSON runs the benchmark catalog and writes BENCH_<name>.json files.
+func runJSON(out *os.File, only, outdir string) error {
+	if err := os.MkdirAll(outdir, 0o755); err != nil {
+		return err
+	}
 	ran := 0
 	for _, spec := range perfbench.Suite() {
-		if only != "" && !strings.EqualFold(spec.ID, only) {
+		if only != "" && !strings.EqualFold(spec.Name, only) {
 			continue
 		}
-		fmt.Fprintf(out, "%s %s (%d enrollers)... ", spec.ID, spec.Name, spec.Enrollers)
+		fmt.Fprintf(out, "%s (%d enrollers)... ", spec.Name, spec.Enrollers)
 		res := spec.Run()
-		// E5/E6 record their intrinsic comparison run as the baseline; a
-		// -baseline directory only fills the experiments that lack one.
-		if baseline != "" && res.BaselineNsPerOp == 0 {
-			if base, err := readBaseline(filepath.Join(baseline, benchFile(spec.ID))); err == nil && base.NsPerOp > 0 {
-				res.BaselineNsPerOp = base.NsPerOp
-				res.DeltaPct = (base.NsPerOp - res.NsPerOp) / base.NsPerOp * 100
-			}
-		}
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(outdir, benchFile(spec.ID))
+		path := filepath.Join(outdir, "BENCH_"+spec.Name+".json")
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
@@ -114,19 +107,7 @@ func runJSON(out *os.File, only, outdir, baseline string) error {
 		ran++
 	}
 	if ran == 0 {
-		return fmt.Errorf("no measurement matches -only=%s", only)
+		return fmt.Errorf("no catalog entry matches -only=%s", only)
 	}
 	return nil
-}
-
-func benchFile(id string) string { return "BENCH_" + id + ".json" }
-
-func readBaseline(path string) (perfbench.Result, error) {
-	var res perfbench.Result
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	err = json.Unmarshal(data, &res)
-	return res, err
 }

@@ -42,14 +42,14 @@ func TestRunUnknownOnly(t *testing.T) {
 	}
 }
 
-// TestRunJSONMode runs the fastest perfbench measurement end to end and
-// checks the BENCH file round-trips, including baseline diffing.
+// TestRunJSONMode runs the fastest catalog entry end to end and checks its
+// BENCH file.
 func TestRunJSONMode(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-json", "-only", "E2", "-outdir", dir}, os.Stdout); err != nil {
+	if err := run([]string{"-json", "-only", "successive-performances", "-outdir", dir}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
-	path := dir + "/BENCH_E2.json"
+	path := dir + "/BENCH_successive-performances.json"
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -58,31 +58,14 @@ func TestRunJSONMode(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("invalid JSON in %s: %v", path, err)
 	}
-	if got["id"] != "E2" || got["ns_per_op"].(float64) <= 0 {
+	if got["name"] != "successive-performances" || got["ns_per_op"].(float64) <= 0 {
 		t.Fatalf("unexpected result: %v", got)
-	}
-
-	// A second run diffed against the first must record the baseline.
-	dir2 := t.TempDir()
-	if err := run([]string{"-json", "-only", "E2", "-outdir", dir2, "-baseline", dir}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(dir2 + "/BENCH_E2.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diffed map[string]any
-	if err := json.Unmarshal(data, &diffed); err != nil {
-		t.Fatal(err)
-	}
-	if diffed["baseline_ns_per_op"].(float64) != got["ns_per_op"].(float64) {
-		t.Fatalf("baseline not recorded: %v", diffed)
 	}
 }
 
 func TestRunJSONUnknownOnly(t *testing.T) {
-	if err := run([]string{"-json", "-only", "E99", "-outdir", t.TempDir()}, os.Stdout); err == nil {
-		t.Fatal("unknown measurement ID must fail")
+	if err := run([]string{"-json", "-only", "no-such-entry", "-outdir", t.TempDir()}, os.Stdout); err == nil {
+		t.Fatal("unknown catalog entry must fail")
 	}
 }
 

@@ -1,74 +1,45 @@
-// Package perfbench defines the performance acceptance suite: a small set
-// of named measurements (E1–E12) runnable from cmd/scriptbench -json, so
-// regressions in the enrollment and communication hot paths are visible as
-// numbers in BENCH_E*.json rather than only as `go test -bench` output.
+// Package perfbench is the benchmark catalog: every performance workload of
+// the repository, each with exactly one driver, keyed by its name.
+// cmd/scriptbench -json runs an entry and writes BENCH_<name>.json; go test
+// runs each b.N-shaped entry in this package as BenchmarkCatalog/<name>;
+// and the paper-claim benchmarks of the root package (E01–E14) and its
+// ablations call the same drivers (Cast, Broadcast, Successive).
 //
-// The suite deliberately mirrors the hottest benchmarks of bench_test.go:
+//	star-broadcast-64               one StarBroadcast(64) performance per op, resident recipients
+//	successive-performances         one empty 3-role performance per op (Figure 1's barrier)
+//	contended-enrollment-4, -64     n enrollers contend for one role
+//	pool-throughput-1x, -4x         64 enrollers through a script.Pool of 1 or 4 instances;
+//	                                -4x also records its speedup over one instance
+//	fabric-pingpong-fast-vs-slow    fabric ping-pong: fast lane vs forced slow lane
+//	fabric-scatter-64               one 64-recipient fabric Scatter vs a loop of serial sends
+//	remote-star-broadcast-4, -16    the star broadcast over loopback TCP, multiplexed
+//	remote-star-broadcast-64        the same at 64, also recording dedicated connections
+//	                                and the in-process star-broadcast-64 workload
+//	goodput-under-saturation        1×/2×/4× a host's admission cap, with vs without retry
+//	wire-codec-roundtrip            one SEND + OP-RESULT frame pair through the binary codec
+//	sampling-overhead               star-broadcast-64 and contended-enrollment-64 with 0.1%
+//	                                sampled tracing vs untraced
+//	fleet-goodput-scaling           the saturation drive against 1/2/4 registry-announced hosts
+//	goodput-under-connection-churn  mid-op connection cuts with vs without a resume window
 //
-//	E1  star broadcast, 64 resident recipients (Figure 3 at N=64)
-//	E2  successive performances, 3 empty roles (Figure 1's barrier)
-//	E3  contended enrollment, 64 contenders for one role
-//	E4  script.Pool of 4 instances vs a single instance, 64 enrollers
-//	E5  fabric point-to-point ping-pong: fast lane vs forced slow lane
-//	E6  fabric star scatter to 64 recipients vs a loop of serial sends
-//	E7  remote star broadcast over loopback TCP: multiplexed connections
-//	    vs a dedicated connection per enrollment, with the in-process E1
-//	    workload as the absolute floor
-//	E8  goodput under saturation: 1×/2×/4× the host's admission cap,
-//	    with vs. without client retry
-//	E9  wire codec round trip: one SEND + OP-RESULT frame pair through
-//	    the binary codec
-//	E10 observability overhead: the E1 and E3 workloads with 0.1%
-//	    probability-sampled tracing (async ring sink) vs untraced; a
-//	    delta_pct near zero is the "sampling is free when off-path" claim
-//	E11 fleet goodput scaling: the E8 saturation drive against 1, 2, and
-//	    4 registry-announced hosts through one registry-backed balanced
-//	    enroller; aggregate goodput must scale with the fleet
-//	E12 goodput under connection churn: single-role enrollments while a
-//	    deterministic schedule severs the live connection mid-op, with a
-//	    resume window vs with resumption off; the on-arm must complete
-//	    every enrollment, the off-arm reproduces the abort taxonomy
-//
-// Each Spec.Run executes under testing.Benchmark so iteration counts are
-// chosen the same way `go test -bench` chooses them. E5/E6 measure the
-// rendezvous fabric directly and record their own comparison run in
-// baseline_ns_per_op (fast vs slow lane, scatter vs serial); E7 records
-// its dedicated-connection run as its own, so delta_pct is what
-// multiplexing buys (positive = faster). E7 additionally reports the
-// remote cost as an explicit remote_over_in_process_ratio against the
-// in-process E1 workload — the honest "how much does the wire cost"
-// number. E8 is the odd one out: it
-// drives fixed-duration load points instead of b.N iterations, reporting
-// completed-enrollment throughput and p99 latency per point in the
-// saturation array.
+// A b.N-shaped entry runs under testing.Benchmark, so iteration counts are
+// chosen the same way `go test -bench` chooses them. An entry with a
+// comparison arm measures it in the same run and records it as
+// baseline_ns_per_op, with delta_pct the headline's gain over it (positive
+// = faster). The saturation, fleet and churn entries drive fixed-duration
+// closed-loop load instead of b.N iterations and report per-point arrays.
 package perfbench
 
 import (
-	"context"
-	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	script "github.com/scriptabs/goscript"
-	"github.com/scriptabs/goscript/internal/core"
-	"github.com/scriptabs/goscript/internal/ids"
-	"github.com/scriptabs/goscript/internal/metrics"
 	"github.com/scriptabs/goscript/internal/patterns"
-	"github.com/scriptabs/goscript/internal/registry"
 	"github.com/scriptabs/goscript/internal/remote"
-	"github.com/scriptabs/goscript/internal/rendezvous"
-	"github.com/scriptabs/goscript/internal/trace"
-	"github.com/scriptabs/goscript/internal/wire"
 )
 
-// Result is one measurement, serialized to BENCH_<ID>.json.
+// Result is one measurement, serialized to BENCH_<name>.json.
 type Result struct {
-	ID          string  `json:"id"`
 	Name        string  `json:"name"`
 	Description string  `json:"description"`
 	Enrollers   int     `json:"enrollers"`
@@ -76,56 +47,53 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 
-	// E4 only: the single-instance run the pool is compared against.
+	// pool-throughput-4x only: the single-instance run the pool is
+	// compared against.
 	SingleNsPerOp float64 `json:"single_instance_ns_per_op,omitempty"`
 	Speedup       float64 `json:"speedup,omitempty"`
 
-	// The prior recorded ns_per_op and the improvement over it, positive =
-	// faster (in percent). Filled by cmd/scriptbench -baseline for E1–E4;
-	// E5/E6 fill it themselves with their in-build comparison run (forced
-	// slow lane, serial sends).
+	// The entry's comparison arm, measured in the same run (the forced
+	// slow lane, the serial sends, dedicated connections, untraced runs,
+	// the single-host fleet, resumption off), and the headline's gain over
+	// it in percent, positive = faster.
 	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
 	DeltaPct        float64 `json:"delta_pct,omitempty"`
 
-	// E7 only: the comparison runs. V2LockstepNsPerOp is the same workload
-	// with multiplexing off (MaxStreamsPerConn: 1, one dedicated conn per
-	// enrollment) — also E7's baseline — isolating what pipelined
-	// multiplexing buys. InProcessNsPerOp is the identical workload without
-	// the wire (E1), and RemoteRatio = ns_per_op / in-process — the
-	// explicit "cost of the remote boundary" multiplier.
-	V2LockstepNsPerOp float64 `json:"v2_lockstep_ns_per_op,omitempty"`
-	InProcessNsPerOp  float64 `json:"in_process_ns_per_op,omitempty"`
-	RemoteRatio       float64 `json:"remote_over_in_process_ratio,omitempty"`
+	// remote-star-broadcast-64 only: the identical workload without the
+	// wire (star-broadcast-64), and RemoteRatio = ns_per_op / in-process —
+	// the explicit "cost of the remote boundary" multiplier.
+	InProcessNsPerOp float64 `json:"in_process_ns_per_op,omitempty"`
+	RemoteRatio      float64 `json:"remote_over_in_process_ratio,omitempty"`
 
-	// E8 only: one entry per offered-load point. The headline ns_per_op is
-	// the 4×-cap-with-retry point's per-completed-enrollment cost.
+	// goodput-under-saturation only: one entry per offered-load point. The
+	// headline ns_per_op is the 4×-cap-with-retry point's per-completed-
+	// enrollment cost.
 	Saturation []SaturationPoint `json:"saturation,omitempty"`
 
-	// E10 only: each workload measured untraced and with 0.1% sampled
-	// tracing. The headline ns_per_op is the sampled E1 run, the baseline
-	// the untraced one, so delta_pct ≈ 0 means the sampling fast path is
-	// unmeasurable.
+	// sampling-overhead only: each workload measured untraced and with
+	// 0.1% sampled tracing. The headline ns_per_op is the sampled star
+	// broadcast, the baseline the untraced one.
 	Sampling []SamplingPoint `json:"sampling,omitempty"`
 
-	// E11 only: one entry per fleet size. The headline ns_per_op is the
-	// largest fleet's per-completion cost; scaling_vs_single on each point
-	// is its aggregate goodput over the single-host point's.
+	// fleet-goodput-scaling only: one entry per fleet size. The headline
+	// ns_per_op is the largest fleet's per-completion cost; scaling_vs_single
+	// on each point is its aggregate goodput over the single-host point's.
 	Fleet []FleetPoint `json:"fleet,omitempty"`
 
-	// E12 only: the identical connection-churn drive run with session
-	// resumption on and off. The headline ns_per_op is the resumption-on
-	// arm's per-completion cost; the baseline is the resumption-off arm.
+	// goodput-under-connection-churn only: the identical drive run with
+	// session resumption on and off. The headline ns_per_op is the
+	// resumption-on arm's per-completion cost, the baseline the off arm's.
 	Churn []ChurnPoint `json:"churn,omitempty"`
 }
 
-// SaturationPoint is one E8 load point: LoadFactor × the host's admission
-// cap of concurrent remote enrollers hammering a capped single-role script,
-// with or without the client retry policy. Attempted counts application-level
-// operations; without retry a shed attempt fails outright (Failed, lost
-// goodput), with retry sheds are absorbed by backoff and every attempt
-// completes. Shed is the host-side ErrOverloaded rejection count (with retry
-// on, one attempt may bounce several times). Throughput and p99 latency
-// cover completed attempts only.
+// SaturationPoint is one goodput-under-saturation load point: LoadFactor ×
+// the host's admission cap of concurrent remote enrollers hammering a
+// capped single-role script, with or without the client retry policy.
+// Attempted counts application-level operations; without retry a shed
+// attempt fails outright (Failed, lost goodput), with retry sheds are
+// absorbed by backoff and every attempt completes. Shed is the host-side
+// ErrOverloaded rejection count (with retry on, one attempt may bounce
+// several times). Throughput and p99 latency cover completed attempts only.
 type SaturationPoint struct {
 	LoadFactor   int     `json:"load_factor"`
 	Retry        bool    `json:"retry"`
@@ -137,13 +105,14 @@ type SaturationPoint struct {
 	P99LatencyMS float64 `json:"p99_latency_ms"`
 }
 
-// FleetPoint is one E11 fleet size: a fixed client population drives
-// sleep-bound single-role enrollments through a registry-backed enroller at
-// N capped hosts. Goodput is slot-capacity-bound (each host admits fleetCap
-// concurrent enrollments of a fixed service time), so aggregate throughput
-// must scale with the fleet and ScalingVsSingle is the headline claim.
-// MinHostShare is the least-used host's fraction of completions — 1/N is
-// perfectly even, near 0 means the balancer hot-spotted.
+// FleetPoint is one fleet-goodput-scaling fleet size: a fixed client
+// population drives sleep-bound single-role enrollments through a
+// registry-backed enroller at N capped hosts. Goodput is
+// slot-capacity-bound (each host admits fleetCap concurrent enrollments of
+// a fixed service time), so aggregate throughput must scale with the fleet
+// and ScalingVsSingle is the headline claim. MinHostShare is the
+// least-used host's fraction of completions — 1/N is perfectly even, near
+// 0 means the balancer hot-spotted.
 type FleetPoint struct {
 	Hosts           int     `json:"hosts"`
 	Clients         int     `json:"clients"`
@@ -156,14 +125,15 @@ type FleetPoint struct {
 	MinHostShare    float64 `json:"min_host_share"`
 }
 
-// ChurnPoint is one E12 arm: churnClients concurrent remote enrollers drive
-// single-role enrollments whose bodies each issue churnOpsPerBody wire ops,
-// while a deterministic fault schedule severs the live connection on every
-// churnCutEvery-th client op — the same schedule for both arms. With a
-// resume window open every cut heals invisibly (Failed must be 0); with
-// resumption off each cut kills the multiplexed connection and every
-// enrollment riding it, so Failed must be > 0. Throughput and p99 latency
-// cover completed enrollments only; FailureRatePct = Failed/Attempted.
+// ChurnPoint is one goodput-under-connection-churn arm: churnClients
+// concurrent remote enrollers drive single-role enrollments whose bodies
+// each issue churnOpsPerBody wire ops, while a deterministic fault
+// schedule severs the live connection on every churnCutEvery-th client op
+// — the same schedule for both arms. With a resume window open every cut
+// heals invisibly (Failed must be 0); with resumption off each cut kills
+// the multiplexed connection and every enrollment riding it, so Failed
+// must be > 0. Throughput and p99 latency cover completed enrollments
+// only; FailureRatePct = Failed/Attempted.
 type ChurnPoint struct {
 	Resume         bool    `json:"resume"`
 	Attempted      uint64  `json:"attempted"`
@@ -176,8 +146,8 @@ type ChurnPoint struct {
 	P99LatencyMS   float64 `json:"p99_latency_ms"`
 }
 
-// SamplingPoint is one E10 cell: a core workload run untraced or with a
-// 0.1% probability sampler feeding an async-ring tracer.
+// SamplingPoint is one sampling-overhead cell: a core workload run
+// untraced or with a 0.1% probability sampler feeding an async-ring tracer.
 type SamplingPoint struct {
 	Workload    string  `json:"workload"`
 	Sampled     bool    `json:"sampled"`
@@ -186,142 +156,159 @@ type SamplingPoint struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Spec names one measurement of the suite.
+// Spec is one catalog entry.
 type Spec struct {
-	ID          string
 	Name        string
 	Description string
 	Enrollers   int
-	Run         func() Result
+	// Bench is the entry's b.N-shaped body (its headline arm), nil for an
+	// entry that is not one: go test runs it as BenchmarkCatalog/<Name>.
+	Bench func(*testing.B)
+	// run, when set, measures the entry (comparison arms, fixed-window
+	// drives); otherwise Run measures Bench alone.
+	run func(Spec) Result
 }
 
-// Suite returns the acceptance measurements in ID order.
+// Run measures the entry.
+func (s Spec) Run() Result {
+	if s.run != nil {
+		return s.run(s)
+	}
+	return s.result(testing.Benchmark(s.Bench))
+}
+
+// Suite returns the catalog.
 func Suite() []Spec {
-	specs := []Spec{
+	return []Spec{
 		{
-			ID:          "E1",
 			Name:        "star-broadcast-64",
 			Description: "one StarBroadcast(64) performance per op with resident recipients",
 			Enrollers:   64,
+			Bench:       func(b *testing.B) { Broadcast(b, patterns.StarBroadcast(64), 64) },
 		},
 		{
-			ID:          "E2",
 			Name:        "successive-performances",
 			Description: "one empty 3-role performance per op (successive-activations barrier)",
 			Enrollers:   3,
+			Bench:       Successive,
 		},
 		{
-			ID:          "E3",
+			Name:        "contended-enrollment-4",
+			Description: "4 concurrent enrollers contend for one role; ns/op is per-performance scheduler cost",
+			Enrollers:   4,
+			Bench:       func(b *testing.B) { contended(b, 4) },
+		},
+		{
 			Name:        "contended-enrollment-64",
 			Description: "64 concurrent enrollers contend for one role; ns/op is per-performance scheduler cost",
 			Enrollers:   64,
+			Bench:       func(b *testing.B) { contended(b, 64) },
 		},
 		{
-			ID:          "E4",
+			Name:        "pool-throughput-1x",
+			Description: "64 enrollers drive blocking single-role performances through a Pool of 1 instance",
+			Enrollers:   64,
+			Bench:       func(b *testing.B) { pool(b, 1) },
+		},
+		{
 			Name:        "pool-throughput-4x",
 			Description: "64 enrollers drive blocking single-role performances through a Pool of 4 vs 1 instance",
 			Enrollers:   64,
+			Bench:       func(b *testing.B) { pool(b, 4) },
+			run: func(s Spec) Result {
+				res := s.result(testing.Benchmark(s.Bench))
+				res.SingleNsPerOp = nsPerOp(testing.Benchmark(func(b *testing.B) { pool(b, 1) }))
+				if res.NsPerOp > 0 {
+					res.Speedup = res.SingleNsPerOp / res.NsPerOp
+				}
+				return res
+			},
 		},
 		{
-			ID:          "E5",
 			Name:        "fabric-pingpong-fast-vs-slow",
 			Description: "8 concurrent fabric ping-pong pairs; baseline is the same workload with the fast lane forced off (GOMAXPROCS>=4)",
 			Enrollers:   16,
+			Bench:       func(b *testing.B) { pingPong(b, 8, false) },
+			run: func(s Spec) Result {
+				return s.withMinProcs(4, func(b *testing.B) { pingPong(b, 8, true) })
+			},
 		},
 		{
-			ID:          "E6",
 			Name:        "fabric-scatter-64",
 			Description: "one 64-recipient fabric Scatter per op; baseline is a loop of 64 serial sends (GOMAXPROCS>=4)",
 			Enrollers:   64,
+			Bench:       func(b *testing.B) { scatter(b, 64, false) },
+			run: func(s Spec) Result {
+				return s.withMinProcs(4, func(b *testing.B) { scatter(b, 64, true) })
+			},
 		},
 		{
-			ID:          "E7",
+			Name:        "remote-star-broadcast-4",
+			Description: "one StarBroadcast(4) performance per op with every role enrolled over loopback TCP (multiplexed)",
+			Enrollers:   5,
+			Bench:       func(b *testing.B) { remoteStar(b, 4, remote.EnrollerConfig{}) },
+		},
+		{
+			Name:        "remote-star-broadcast-16",
+			Description: "one StarBroadcast(16) performance per op with every role enrolled over loopback TCP (multiplexed)",
+			Enrollers:   17,
+			Bench:       func(b *testing.B) { remoteStar(b, 16, remote.EnrollerConfig{}) },
+		},
+		{
 			Name:        "remote-star-broadcast-64",
-			Description: "one StarBroadcast(64) performance per op with every role enrolled over loopback TCP (SCRW v2, multiplexed); baseline is the same workload with a dedicated connection per enrollment; remote_over_in_process_ratio compares against the in-process E1 workload",
+			Description: "one StarBroadcast(64) performance per op with every role enrolled over loopback TCP (multiplexed); baseline is the same workload with a dedicated connection per enrollment; remote_over_in_process_ratio compares against the in-process star-broadcast-64 workload",
 			Enrollers:   65,
+			Bench:       func(b *testing.B) { remoteStar(b, 64, remote.EnrollerConfig{}) },
+			run: func(s Spec) Result {
+				res := s.result(testing.Benchmark(s.Bench))
+				res.compare(nsPerOp(testing.Benchmark(func(b *testing.B) {
+					remoteStar(b, 64, remote.EnrollerConfig{MaxStreamsPerConn: 1})
+				})))
+				res.InProcessNsPerOp = nsPerOp(testing.Benchmark(func(b *testing.B) {
+					Broadcast(b, patterns.StarBroadcast(64), 64)
+				}))
+				if res.InProcessNsPerOp > 0 {
+					res.RemoteRatio = res.NsPerOp / res.InProcessNsPerOp
+				}
+				return res
+			},
 		},
 		{
-			ID:          "E8",
 			Name:        "goodput-under-saturation",
 			Description: "remote single-role enrollments at 1x/2x/4x the host's admission cap, with vs. without client retry; per-point completed throughput and p99 latency",
 			Enrollers:   4 * saturationCap,
+			run:         runSaturation,
 		},
 		{
-			ID:          "E9",
 			Name:        "wire-codec-roundtrip",
 			Description: "encode+decode one SEND op frame and its OP-RESULT reply through the binary codec",
 			Enrollers:   1,
+			Bench:       codec,
 		},
 		{
-			ID:          "E10",
 			Name:        "sampling-overhead",
-			Description: "E1 (star broadcast 64) and E3 (contended enrollment 64) with 0.1% probability-sampled tracing vs untraced; headline is the sampled E1 run, baseline the untraced one",
+			Description: "star-broadcast-64 and contended-enrollment-64 with 0.1% probability-sampled tracing vs untraced; headline is the sampled star broadcast, baseline the untraced one",
 			Enrollers:   64,
+			run:         runSampling,
 		},
 		{
-			ID:          "E11",
 			Name:        "fleet-goodput-scaling",
-			Description: "the E8 saturation drive against 1/2/4 registry-announced hosts (admission cap 4 each, sleep-bound bodies) through a registry-backed round-robin enroller; per-point aggregate goodput and scaling vs the single-host point",
+			Description: "the goodput-under-saturation drive against 1/2/4 registry-announced hosts (admission cap 4 each, sleep-bound bodies) through a registry-backed round-robin enroller; per-point aggregate goodput and scaling vs the single-host point",
 			Enrollers:   fleetClients,
+			run:         runFleet,
 		},
 		{
-			ID:          "E12",
 			Name:        "goodput-under-connection-churn",
 			Description: "remote single-role enrollments under a deterministic schedule of mid-op connection cuts (one per 64 client wire ops), with a 5s resume window vs with resumption off; per-arm goodput and enrollment failure rate, identical cut schedule in both arms",
 			Enrollers:   churnClients,
+			run:         runChurn,
 		},
 	}
-	specs[0].Run = func() Result { return finish(specs[0], runStarBroadcast(64)) }
-	specs[1].Run = func() Result { return finish(specs[1], runSuccessive()) }
-	specs[2].Run = func() Result { return finish(specs[2], runContended(64)) }
-	specs[3].Run = func() Result {
-		pool := runPool(4)
-		single := runPool(1)
-		res := finish(specs[3], pool)
-		res.SingleNsPerOp = nsPerOp(single)
-		if res.NsPerOp > 0 {
-			res.Speedup = res.SingleNsPerOp / res.NsPerOp
-		}
-		return res
-	}
-	specs[4].Run = func() Result {
-		var fast, slow testing.BenchmarkResult
-		withMinProcs(4, func() {
-			fast = runPingPong(8, false)
-			slow = runPingPong(8, true)
-		})
-		return withIntrinsicBaseline(finish(specs[4], fast), slow)
-	}
-	specs[5].Run = func() Result {
-		var scatter, serial testing.BenchmarkResult
-		withMinProcs(4, func() {
-			scatter = runScatter(64, false)
-			serial = runScatter(64, true)
-		})
-		return withIntrinsicBaseline(finish(specs[5], scatter), serial)
-	}
-	specs[6].Run = func() Result {
-		mux := runRemoteStar(64, remote.EnrollerConfig{})
-		dedicated := runRemoteStar(64, remote.EnrollerConfig{MaxStreamsPerConn: 1})
-		res := withIntrinsicBaseline(finish(specs[6], mux), dedicated)
-		res.V2LockstepNsPerOp = res.BaselineNsPerOp
-		res.InProcessNsPerOp = nsPerOp(runStarBroadcast(64))
-		if res.InProcessNsPerOp > 0 {
-			res.RemoteRatio = res.NsPerOp / res.InProcessNsPerOp
-		}
-		return res
-	}
-	specs[7].Run = func() Result { return runSaturationSuite(specs[7]) }
-	specs[8].Run = func() Result { return finish(specs[8], runCodec()) }
-	specs[9].Run = func() Result { return runSamplingSuite(specs[9]) }
-	specs[10].Run = func() Result { return runFleetSuite(specs[10]) }
-	specs[11].Run = func() Result { return runChurnSuite(specs[11]) }
-	return specs
 }
 
-func finish(s Spec, br testing.BenchmarkResult) Result {
+// result is the entry's Result with br as its headline measurement.
+func (s Spec) result(br testing.BenchmarkResult) Result {
 	return Result{
-		ID:          s.ID,
 		Name:        s.Name,
 		Description: s.Description,
 		Enrollers:   s.Enrollers,
@@ -331,26 +318,26 @@ func finish(s Spec, br testing.BenchmarkResult) Result {
 	}
 }
 
-// withIntrinsicBaseline records the experiment's own comparison run (the
-// forced-slow lane, the serial-send loop) as the baseline.
-func withIntrinsicBaseline(res Result, base testing.BenchmarkResult) Result {
-	res.BaselineNsPerOp = nsPerOp(base)
-	if res.BaselineNsPerOp > 0 {
-		res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
+// compare records baseNs as the comparison arm.
+func (r *Result) compare(baseNs float64) {
+	r.BaselineNsPerOp = baseNs
+	if baseNs > 0 {
+		r.DeltaPct = (baseNs - r.NsPerOp) / baseNs * 100
 	}
-	return res
 }
 
-// withMinProcs runs fn with GOMAXPROCS raised to at least n (never lowered):
-// the fabric's lane comparison is about lock contention, which a
-// single-scheduler-thread run cannot exhibit.
-func withMinProcs(n int, fn func()) {
-	old := runtime.GOMAXPROCS(0)
-	if old < n {
+// withMinProcs measures Bench and then its comparison arm base with
+// GOMAXPROCS raised to at least n (never lowered): the fabric's lane
+// comparison is about lock contention, which a single-scheduler-thread run
+// cannot exhibit.
+func (s Spec) withMinProcs(n int, base func(*testing.B)) Result {
+	if old := runtime.GOMAXPROCS(0); old < n {
 		runtime.GOMAXPROCS(n)
 		defer runtime.GOMAXPROCS(old)
 	}
-	fn()
+	res := s.result(testing.Benchmark(s.Bench))
+	res.compare(nsPerOp(testing.Benchmark(base)))
+	return res
 }
 
 func nsPerOp(br testing.BenchmarkResult) float64 {
@@ -358,904 +345,4 @@ func nsPerOp(br testing.BenchmarkResult) float64 {
 		return 0
 	}
 	return float64(br.T.Nanoseconds()) / float64(br.N)
-}
-
-// runStarBroadcast is bench_test.go's E03 at a fixed recipient count: n
-// resident recipients re-enroll forever, the measured op is one sender
-// enrollment (= one complete broadcast performance).
-func runStarBroadcast(n int, opts ...core.Option) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		in := core.NewInstance(patterns.StarBroadcast(n), opts...)
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for i := 1; i <= n; i++ {
-			pid := ids.PID(fmt.Sprintf("R%d", i))
-			role := ids.Member(patterns.RoleRecipient, i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if _, err := in.Enroll(ctx, core.Enrollment{PID: pid, Role: role}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := in.Enroll(ctx, core.Enrollment{
-				PID: "T", Role: ids.Role(patterns.RoleSender), Args: []any{i},
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		cancel()
-		in.Close()
-		wg.Wait()
-	})
-}
-
-// runSuccessive is bench_test.go's E01: a minimal three-role script with
-// empty bodies, one performance per op.
-func runSuccessive() testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		def := core.NewScript("fig1").
-			Role("p", func(rc core.Ctx) error { return nil }).
-			Role("q", func(rc core.Ctx) error { return nil }).
-			Role("r", func(rc core.Ctx) error { return nil }).
-			Initiation(core.ImmediateInitiation).
-			Termination(core.ImmediateTermination).
-			MustBuild()
-		in := core.NewInstance(def)
-		ctx, cancel := context.WithCancel(context.Background())
-		var wg sync.WaitGroup
-		for _, role := range []string{"q", "r"} {
-			role := role
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if _, err := in.Enroll(ctx, core.Enrollment{
-						PID: ids.PID(role + "-proc"), Role: ids.Role(role),
-					}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := in.Enroll(ctx, core.Enrollment{PID: "p-proc", Role: ids.Role("p")}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		cancel()
-		in.Close()
-		wg.Wait()
-	})
-}
-
-// runContended is bench_test.go's E15 at a fixed worker count: n concurrent
-// enrollers collectively complete b.N single-role performances, so ns/op is
-// the per-performance scheduler cost under contention. (Measuring one
-// foreground enroller's latency instead would conflate this cost with the
-// FIFO queue depth at enrollment time, which varies run to run.)
-func runContended(n int, opts ...core.Option) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		def := core.NewScript("slot").
-			Role("only", func(rc core.Ctx) error { return nil }).
-			MustBuild()
-		in := core.NewInstance(def, opts...)
-		defer in.Close()
-		var next atomic.Int64
-		var failures atomic.Int64
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for w := 0; w < n; w++ {
-			pid := ids.PID(fmt.Sprintf("W%d", w))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for next.Add(1) <= int64(b.N) {
-					if _, err := in.Enroll(context.Background(), core.Enrollment{PID: pid, Role: ids.Role("only")}); err != nil {
-						failures.Add(1)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		b.StopTimer()
-		if failures.Load() > 0 {
-			b.Fatalf("%d enrollments failed", failures.Load())
-		}
-	})
-}
-
-// runPool is bench_test.go's E16 at a fixed pool size: 64 enrollers share
-// b.N briefly-blocking single-role performances.
-func runPool(size int) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		def := script.New("slot").
-			Role("only", func(rc script.Ctx) error {
-				time.Sleep(20 * time.Microsecond)
-				return nil
-			}).
-			MustBuild()
-		pool := script.NewPool(def, size)
-		defer pool.Close()
-		const workers = 64
-		var next atomic.Int64
-		var failures atomic.Int64
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for w := 0; w < workers; w++ {
-			pid := script.PID(fmt.Sprintf("W%d", w))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for next.Add(1) <= int64(b.N) {
-					if _, err := pool.Enroll(context.Background(), script.Enrollment{
-						PID: pid, Role: script.Role("only"),
-					}); err != nil {
-						failures.Add(1)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		b.StopTimer()
-		if failures.Load() > 0 {
-			b.Fatalf("%d enrollments failed", failures.Load())
-		}
-	})
-}
-
-// runRemoteStar is E7: the E1 workload pushed through the wire. A
-// remote.Host serves StarBroadcast(n) on loopback; n resident recipients
-// re-enroll forever through one shared Enroller, and the measured op is
-// one sender enrollment — a complete broadcast performance in which every
-// role body runs client-side, each communication op a request/response
-// frame pair. cfg selects the connection mode under test: default
-// (multiplexed) or MaxStreamsPerConn: 1 (dedicated conn per enrollment).
-func runRemoteStar(n int, cfg remote.EnrollerConfig) testing.BenchmarkResult {
-	cfg.Script = "star_broadcast"
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		in := core.NewInstance(patterns.StarBroadcast(n))
-		h := remote.NewHost(in, remote.HostConfig{})
-		if err := h.Listen("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		go h.Serve()
-		enr := remote.NewEnroller(h.Addr().String(), cfg)
-		ctx, cancel := context.WithCancel(context.Background())
-		recvBody := func(rc core.Ctx) error {
-			v, err := rc.Recv(ids.Role(patterns.RoleSender))
-			if err != nil {
-				return err
-			}
-			rc.SetResult(0, v)
-			return nil
-		}
-		tos := make([]ids.RoleRef, n)
-		for i := 1; i <= n; i++ {
-			tos[i-1] = ids.Member(patterns.RoleRecipient, i)
-		}
-		var wg sync.WaitGroup
-		for i := 1; i <= n; i++ {
-			pid := ids.PID(fmt.Sprintf("R%d", i))
-			role := ids.Member(patterns.RoleRecipient, i)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: role, Body: recvBody}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			val := i
-			_, err := enr.Enroll(ctx, core.Enrollment{
-				PID: "T", Role: ids.Role(patterns.RoleSender),
-				Body: func(rc core.Ctx) error { return rc.SendAll(tos, val) },
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		cancel()
-		wg.Wait()
-		enr.Close()
-		h.Close()
-		in.Close()
-	})
-}
-
-// saturationCap is E8's host admission cap (MaxEnrollments); offered load
-// is expressed as multiples of it.
-const saturationCap = 4
-
-// saturationWindow is how long each E8 load point runs.
-const saturationWindow = 400 * time.Millisecond
-
-// runSaturationSuite is E8: a capped remote host is offered 1×, 2×, and 4×
-// its admission cap of concurrent single-role enrollments, once with the
-// client retry policy off (over-cap offers bounce with ErrOverloaded and
-// are lost goodput) and once with it on (sheds are retried under backoff
-// until admitted). Each point reports completed-enrollment throughput and
-// the p99 latency of completions; the headline ns_per_op is the
-// 4×-with-retry point's per-completion cost.
-func runSaturationSuite(s Spec) Result {
-	res := Result{
-		ID:          s.ID,
-		Name:        s.Name,
-		Description: s.Description,
-		Enrollers:   s.Enrollers,
-	}
-	for _, factor := range []int{1, 2, 4} {
-		for _, retry := range []bool{false, true} {
-			res.Saturation = append(res.Saturation, runSaturationPoint(saturationCap, factor, retry))
-		}
-	}
-	headline := res.Saturation[len(res.Saturation)-1] // 4× with retry
-	res.Iterations = int(headline.Completed)
-	if headline.Throughput > 0 {
-		res.NsPerOp = 1e9 / headline.Throughput
-	}
-	return res
-}
-
-func runSaturationPoint(cap, factor int, retry bool) SaturationPoint {
-	def := core.NewScript("slot").
-		Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
-		MustBuild()
-	in := core.NewInstance(def)
-	h := remote.NewHost(in, remote.HostConfig{
-		MaxEnrollments: cap,
-		RetryAfter:     2 * time.Millisecond,
-	})
-	if err := h.Listen("127.0.0.1:0"); err != nil {
-		panic(err)
-	}
-	go h.Serve()
-	cfg := remote.EnrollerConfig{
-		// The breaker would turn sustained overload into client-local
-		// fail-fast rejections; E8 measures the host's shedding, so it is
-		// disabled for both modes.
-		Breaker: remote.BreakerConfig{FailureThreshold: -1},
-	}
-	if retry {
-		cfg.Retry = remote.RetryPolicy{
-			MaxAttempts: 100,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  8 * time.Millisecond,
-			Seed:        42,
-		}
-	}
-	enr := remote.NewEnroller(h.Addr().String(), cfg)
-
-	// The body spins (not sleeps) ~200µs so each admitted enrollment holds
-	// its slot for a consistent service time — time.Sleep's wakeup latency
-	// varies with how busy the process is, which would let the shed traffic
-	// itself distort per-point service times.
-	body := func(rc core.Ctx) error {
-		for t0 := time.Now(); time.Since(t0) < 200*time.Microsecond; {
-		}
-		return nil
-	}
-	clients := cap * factor
-	ctx := context.Background()
-	var attempted, completed, failed atomic.Uint64
-	samples := make([][]time.Duration, clients)
-	stop := time.Now().Add(saturationWindow)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		pid := ids.PID(fmt.Sprintf("C%d", c))
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				attempted.Add(1)
-				t0 := time.Now()
-				if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only"), Body: body}); err != nil {
-					failed.Add(1)
-					continue
-				}
-				completed.Add(1)
-				samples[c] = append(samples[c], time.Since(t0))
-			}
-		}(c)
-	}
-	wg.Wait()
-	shed := h.Stats().ShedEnrollments
-	enr.Close()
-	h.Close()
-	in.Close()
-
-	var all []time.Duration
-	for _, s := range samples {
-		all = append(all, s...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var p99 time.Duration
-	if n := len(all); n > 0 {
-		i := n * 99 / 100
-		if i >= n {
-			i = n - 1
-		}
-		p99 = all[i]
-	}
-	return SaturationPoint{
-		LoadFactor:   factor,
-		Retry:        retry,
-		Attempted:    attempted.Load(),
-		Completed:    completed.Load(),
-		Failed:       failed.Load(),
-		Shed:         shed,
-		Throughput:   float64(completed.Load()) / saturationWindow.Seconds(),
-		P99LatencyMS: float64(p99.Nanoseconds()) / 1e6,
-	}
-}
-
-// fleetCap is E11's per-host admission cap: small enough that goodput is
-// bound by slot capacity, not CPU, so adding hosts adds capacity even on a
-// single-core machine.
-const fleetCap = 4
-
-// fleetServiceTime is how long each admitted E11 enrollment holds its slot.
-// Sleeping (not spinning) keeps N×fleetCap concurrent bodies from competing
-// for cycles — the point is slot scaling, not scheduler throughput.
-const fleetServiceTime = 3 * time.Millisecond
-
-// fleetWindow is how long each E11 fleet point runs.
-const fleetWindow = 600 * time.Millisecond
-
-// fleetClients is the client population offered to every fleet size — held
-// constant so the only variable across points is capacity.
-const fleetClients = 64
-
-// runFleetSuite is E11: the E8 saturation drive pointed at a fleet. Each
-// point announces N capped hosts to a registry with live load digests and
-// drives them through one registry-backed round-robin enroller shared by
-// fleetClients retrying clients. Aggregate completed-enrollment throughput
-// per point, plus its ratio over the single-host point — the scale-out
-// claim the CI gate asserts (≥1.7× at 2 hosts, ≥3.0× at 4).
-func runFleetSuite(s Spec) Result {
-	res := Result{
-		ID:          s.ID,
-		Name:        s.Name,
-		Description: s.Description,
-		Enrollers:   s.Enrollers,
-	}
-	for _, hosts := range []int{1, 2, 4} {
-		res.Fleet = append(res.Fleet, runFleetPoint(hosts))
-	}
-	single := res.Fleet[0].Throughput
-	for i := range res.Fleet {
-		if single > 0 {
-			res.Fleet[i].ScalingVsSingle = res.Fleet[i].Throughput / single
-		}
-	}
-	headline := res.Fleet[len(res.Fleet)-1]
-	res.Iterations = int(headline.Completed)
-	if headline.Throughput > 0 {
-		res.NsPerOp = 1e9 / headline.Throughput
-	}
-	res.BaselineNsPerOp = 1e9 / single
-	res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
-	return res
-}
-
-func runFleetPoint(nHosts int) FleetPoint {
-	reg := registry.NewStatic()
-	type member struct {
-		in *core.Instance
-		h  *remote.Host
-	}
-	members := make([]member, nHosts)
-	for i := range members {
-		def := core.NewScript("slot").
-			Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
-			MustBuild()
-		in := core.NewInstance(def)
-		h := remote.NewHost(in, remote.HostConfig{
-			MaxEnrollments: fleetCap,
-			RetryAfter:     2 * time.Millisecond,
-		})
-		if err := h.Listen("127.0.0.1:0"); err != nil {
-			panic(err)
-		}
-		go h.Serve()
-		reg.Announce(
-			registry.Endpoint{Addr: h.Addr().String(), Scripts: []string{"slot"}},
-			func() registry.Load {
-				st := h.Stats()
-				return registry.Load{
-					Conns:         st.Conns,
-					Enrolling:     st.Enrolling,
-					PendingOffers: in.PendingOffers(),
-				}
-			})
-		members[i] = member{in: in, h: h}
-	}
-	enr := remote.NewEnrollerRegistry(reg, remote.EnrollerConfig{
-		Script: "slot",
-		// Round-robin spreads blind but evenly; the 25ms-refresh load
-		// digests would herd a least-loaded pick under this many clients.
-		Balancer: remote.NewRoundRobin(),
-		// Sustained saturation is the workload, not a fault: the breaker
-		// must not turn expected sheds into client-local rejections.
-		Breaker: remote.BreakerConfig{FailureThreshold: -1},
-		Retry: remote.RetryPolicy{
-			MaxAttempts: 100,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  8 * time.Millisecond,
-			Seed:        42,
-		},
-	})
-
-	body := func(rc core.Ctx) error {
-		time.Sleep(fleetServiceTime)
-		return nil
-	}
-	ctx := context.Background()
-	var attempted, completed, failed atomic.Uint64
-	stop := time.Now().Add(fleetWindow)
-	var wg sync.WaitGroup
-	for c := 0; c < fleetClients; c++ {
-		pid := ids.PID(fmt.Sprintf("C%d", c))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				attempted.Add(1)
-				if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only"), Body: body}); err != nil {
-					failed.Add(1)
-					continue
-				}
-				completed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-
-	var shed uint64
-	minShare := 1.0
-	for _, m := range members {
-		shed += uint64(m.h.Stats().ShedEnrollments)
-	}
-	if total := completed.Load(); total > 0 {
-		for _, m := range members {
-			if share := float64(m.in.Performances()) / float64(total); share < minShare {
-				minShare = share
-			}
-		}
-	}
-	enr.Close()
-	reg.Close()
-	for _, m := range members {
-		m.h.Close()
-		m.in.Close()
-	}
-	return FleetPoint{
-		Hosts:        nHosts,
-		Clients:      fleetClients,
-		Attempted:    attempted.Load(),
-		Completed:    completed.Load(),
-		Failed:       failed.Load(),
-		Shed:         shed,
-		Throughput:   float64(completed.Load()) / fleetWindow.Seconds(),
-		MinHostShare: minShare,
-	}
-}
-
-// churnClients is E12's concurrent enroller population.
-const churnClients = 8
-
-// churnWindow is how long each E12 arm runs.
-const churnWindow = 400 * time.Millisecond
-
-// churnCutEvery severs the live connection on every Nth client wire op —
-// a deterministic schedule, identical for both arms, unlike the seeded
-// probabilistic chaos injector the soak tests use.
-const churnCutEvery = 64
-
-// churnOpsPerBody is how many wire ops each enrollment body issues; each
-// op is one consult of the cut schedule and, on the resumption-on arm,
-// one op the healed session must still answer correctly.
-const churnOpsPerBody = 4
-
-// churnFaults is a deterministic remote.NetFaults: no delays, stalls, or
-// overloads — only a connection cut on every churnCutEvery-th client op.
-type churnFaults struct {
-	ops  atomic.Uint64
-	cuts atomic.Uint64
-}
-
-func (f *churnFaults) FrameDelay() time.Duration     { return 0 }
-func (f *churnFaults) DropConn() bool                { return false }
-func (f *churnFaults) StallHeartbeat() time.Duration { return 0 }
-func (f *churnFaults) Overload() bool                { return false }
-func (f *churnFaults) CutConn() bool {
-	if f.ops.Add(1)%churnCutEvery == 0 {
-		f.cuts.Add(1)
-		return true
-	}
-	return false
-}
-
-// runChurnSuite is E12: the same fixed-duration churn drive run twice —
-// once with the host parking broken conversations for a 5s resume window,
-// once with resumption disabled — under an identical deterministic cut
-// schedule. The resumption-on arm's contract is zero failed enrollments
-// (every blip heals invisibly, mid-flight ops included); the off arm must
-// fail enrollments (each cut kills the multiplexed connection and all
-// work riding it), which is exactly today's abort taxonomy and the
-// counterfactual that proves the cuts are real. The headline ns_per_op is
-// the on-arm per-completion cost, the baseline the off arm's, so
-// delta_pct is what resumption costs (or buys back) in goodput under
-// churn.
-func runChurnSuite(s Spec) Result {
-	res := Result{
-		ID:          s.ID,
-		Name:        s.Name,
-		Description: s.Description,
-		Enrollers:   s.Enrollers,
-	}
-	on := runChurnPoint(true)
-	off := runChurnPoint(false)
-	res.Churn = []ChurnPoint{on, off}
-	res.Iterations = int(on.Completed)
-	if on.Throughput > 0 {
-		res.NsPerOp = 1e9 / on.Throughput
-	}
-	if off.Throughput > 0 {
-		res.BaselineNsPerOp = 1e9 / off.Throughput
-		res.DeltaPct = (res.BaselineNsPerOp - res.NsPerOp) / res.BaselineNsPerOp * 100
-	}
-	return res
-}
-
-func runChurnPoint(resume bool) ChurnPoint {
-	def := core.NewScript("slot").
-		Role("only", func(rc core.Ctx) error { return fmt.Errorf("local body must not run") }).
-		MustBuild()
-	in := core.NewInstance(def)
-	hcfg := remote.HostConfig{}
-	if resume {
-		hcfg.ResumeWindow = 5 * time.Second
-	}
-	h := remote.NewHost(in, hcfg)
-	if err := h.Listen("127.0.0.1:0"); err != nil {
-		panic(err)
-	}
-	go h.Serve()
-	faults := &churnFaults{}
-	enr := remote.NewEnroller(h.Addr().String(), remote.EnrollerConfig{
-		// Cuts are consulted at the client's op entry, so the enroller
-		// carries the schedule. No retry policy and no breaker: a failed
-		// enrollment is lost goodput in both arms, and the off arm's
-		// conn-lost bursts must not trip client-local fail-fasts that
-		// would distort the comparison.
-		Faults:  faults,
-		Breaker: remote.BreakerConfig{FailureThreshold: -1},
-	})
-
-	// Each body op is a query over the wire — a cut consult point on the
-	// way out and, when the cut fires, an in-flight op the resumed session
-	// must complete exactly once.
-	body := func(rc core.Ctx) error {
-		for i := 0; i < churnOpsPerBody; i++ {
-			rc.Filled(ids.Role("only"))
-		}
-		return nil
-	}
-	resumedBefore := metrics.Get(metrics.SessionsResumed).Load()
-	ctx := context.Background()
-	var attempted, completed, failed atomic.Uint64
-	samples := make([][]time.Duration, churnClients)
-	stop := time.Now().Add(churnWindow)
-	var wg sync.WaitGroup
-	for c := 0; c < churnClients; c++ {
-		pid := ids.PID(fmt.Sprintf("C%d", c))
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for time.Now().Before(stop) {
-				attempted.Add(1)
-				t0 := time.Now()
-				if _, err := enr.Enroll(ctx, core.Enrollment{PID: pid, Role: ids.Role("only"), Body: body}); err != nil {
-					failed.Add(1)
-					continue
-				}
-				completed.Add(1)
-				samples[c] = append(samples[c], time.Since(t0))
-			}
-		}(c)
-	}
-	wg.Wait()
-	enr.Close()
-	h.Close()
-	in.Close()
-
-	var all []time.Duration
-	for _, s := range samples {
-		all = append(all, s...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var p99 time.Duration
-	if n := len(all); n > 0 {
-		i := n * 99 / 100
-		if i >= n {
-			i = n - 1
-		}
-		p99 = all[i]
-	}
-	pt := ChurnPoint{
-		Resume:       resume,
-		Attempted:    attempted.Load(),
-		Completed:    completed.Load(),
-		Failed:       failed.Load(),
-		Cuts:         faults.cuts.Load(),
-		Resumed:      metrics.Get(metrics.SessionsResumed).Load() - resumedBefore,
-		Throughput:   float64(completed.Load()) / churnWindow.Seconds(),
-		P99LatencyMS: float64(p99.Nanoseconds()) / 1e6,
-	}
-	if pt.Attempted > 0 {
-		pt.FailureRatePct = float64(pt.Failed) / float64(pt.Attempted) * 100
-	}
-	return pt
-}
-
-// samplingRate is E10's sampled fraction: production-shaped, low enough
-// that nearly every op takes the sampler's rejection fast path.
-const samplingRate = 0.001
-
-// samplingRounds is how many interleaved (untraced, sampled) pairs E10
-// measures per workload; each cell reports its fastest round. The workloads
-// are scheduler-bound and their run-to-run spread is wider than the effect
-// under test, so a single pair would gate CI on noise — the minimum is the
-// run least disturbed by the machine, for both configurations alike.
-const samplingRounds = 7
-
-// runSamplingSuite is E10: the in-process E1 and E3 workloads run untraced
-// and with 0.1% probability-sampled tracing behind an async ring, the
-// production observability configuration. The headline is the sampled E1
-// run against its untraced baseline — delta_pct within noise is the claim
-// that always-on sampling costs nothing on unsampled performances.
-//
-// The whole suite runs under a raised GOGC (for both configurations
-// alike): the E1 workload keeps only a few MB live while allocating
-// hundreds of MB/s, a regime where any perturbation of the GC pacer —
-// even the tracer's resident ring — shows up as extra mark cycles worth
-// a couple percent. Production heaps are nowhere near that sensitivity,
-// so the damped-GC comparison is the representative one; the E3 cells,
-// which are allocation-light, measure the undamped scheduler path.
-func runSamplingSuite(s Spec) Result {
-	oldGC := debug.SetGCPercent(400)
-	defer debug.SetGCPercent(oldGC)
-	measure := func(run func(opts ...core.Option) testing.BenchmarkResult) (plain, sampled testing.BenchmarkResult, deltas []float64) {
-		// Each timed run starts from a collected heap: whichever config runs
-		// second in a pair would otherwise inherit the first run's garbage
-		// and GC pacing, a systematic handicap the paired delta would read
-		// as sampling overhead.
-		runPlain := func() testing.BenchmarkResult {
-			runtime.GC()
-			return run()
-		}
-		runSampled := func() testing.BenchmarkResult {
-			async := trace.NewAsync(&trace.Log{}, 0)
-			defer async.Close()
-			runtime.GC()
-			return run(
-				core.WithTracer(async),
-				core.WithSampler(trace.NewProbabilitySampler(samplingRate, 10)))
-		}
-		deltas = make([]float64, 0, samplingRounds)
-		for r := 0; r < samplingRounds; r++ {
-			// Alternate which configuration goes first so warm-up and drift
-			// don't systematically favor one side of the comparison.
-			var p, sp testing.BenchmarkResult
-			if r%2 == 0 {
-				p, sp = runPlain(), runSampled()
-			} else {
-				sp, p = runSampled(), runPlain()
-			}
-			if ns := nsPerOp(p); ns > 0 {
-				deltas = append(deltas, (ns-nsPerOp(sp))/ns*100)
-			}
-			if r == 0 || nsPerOp(p) < nsPerOp(plain) {
-				plain = p
-			}
-			if r == 0 || nsPerOp(sp) < nsPerOp(sampled) {
-				sampled = sp
-			}
-		}
-		return plain, sampled, deltas
-	}
-	e1 := func(opts ...core.Option) testing.BenchmarkResult { return runStarBroadcast(64, opts...) }
-	e3 := func(opts ...core.Option) testing.BenchmarkResult { return runContended(64, opts...) }
-
-	e1Plain, e1Sampled, e1Deltas := measure(e1)
-	e3Plain, e3Sampled, e3Deltas := measure(e3)
-
-	res := withIntrinsicBaseline(finish(s, e1Sampled), e1Plain)
-	// delta_pct is the gated number: the median of every per-round paired
-	// (untraced − sampled) delta across both workloads. Pairing cancels
-	// machine drift within a round and the median discards disturbed
-	// rounds; pooling the workloads matters because E1's scheduler-bound
-	// runs swing a few percent either way run to run, while a real sampling
-	// regression shifts every round of both workloads at once. It is
-	// deliberately NOT recomputed from the fastest-round ns_per_op numbers
-	// reported alongside, whose minima come from different rounds.
-	all := append(append([]float64(nil), e1Deltas...), e3Deltas...)
-	sort.Float64s(all)
-	if n := len(all); n > 0 {
-		res.DeltaPct = all[n/2]
-	}
-	point := func(workload string, isSampled bool, br testing.BenchmarkResult) SamplingPoint {
-		return SamplingPoint{
-			Workload:    workload,
-			Sampled:     isSampled,
-			Iterations:  br.N,
-			NsPerOp:     nsPerOp(br),
-			AllocsPerOp: br.AllocsPerOp(),
-		}
-	}
-	res.Sampling = []SamplingPoint{
-		point("star-broadcast-64", false, e1Plain),
-		point("star-broadcast-64", true, e1Sampled),
-		point("contended-enrollment-64", false, e3Plain),
-		point("contended-enrollment-64", true, e3Sampled),
-	}
-	return res
-}
-
-// runPingPong is E5: `pairs` disjoint (sender, receiver) pairs exchange b.N
-// messages in total through one fabric; each committed rendezvous is one op.
-// With forceSlow, every op takes the locked matcher — the pre-two-lane
-// behavior — so the pair measures exactly what the fast lane buys.
-func runPingPong(pairs int, forceSlow bool) testing.BenchmarkResult {
-	var opts []rendezvous.Option
-	if forceSlow {
-		opts = append(opts, rendezvous.WithoutFastPath())
-	}
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		f := rendezvous.New(opts...)
-		ctx := context.Background()
-		var failures atomic.Int64
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for p := 0; p < pairs; p++ {
-			from := rendezvous.Addr(fmt.Sprintf("S%d", p))
-			to := rendezvous.Addr(fmt.Sprintf("R%d", p))
-			n := b.N / pairs
-			if p == 0 {
-				n += b.N % pairs
-			}
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					if err := f.Send(ctx, from, to, "t", i); err != nil {
-						failures.Add(1)
-						return
-					}
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					if _, err := f.Recv(ctx, to, from, "t"); err != nil {
-						failures.Add(1)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		b.StopTimer()
-		if failures.Load() > 0 {
-			b.Fatalf("%d fabric ops failed", failures.Load())
-		}
-	})
-}
-
-// runCodec is E9: the codec cost of one remote communication op in
-// isolation — encode a SEND frame payload, decode it, encode the
-// OP-RESULT reply, decode that — with no sockets or scheduler in the
-// way. The benchmark reuses one buffer exactly as wire.Conn's write path
-// does with its pooled buffers.
-func runCodec() testing.BenchmarkResult {
-	send := wire.Send{
-		To:  "recipient[7]",
-		Tag: "update",
-		Val: map[string]any{"seq": 42, "payload": "0123456789abcdef0123456789abcdef"},
-	}
-	reply := wire.OpResult{Val: []any{"ack", 42}, Peer: "recipient[7]", Tag: "update"}
-	const ver, stream, seq = wire.MaxVersion, 3, 17
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			var err error
-			buf, err = wire.AppendPayload(buf[:0], ver, wire.MsgSend, stream, seq, send)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, _, err = wire.ParsePayload(ver, wire.MsgSend, buf); err != nil {
-				b.Fatal(err)
-			}
-			buf, err = wire.AppendPayload(buf[:0], ver, wire.MsgOpResult, stream, seq, reply)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, _, err = wire.ParsePayload(ver, wire.MsgOpResult, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// runScatter is E6: one op is a complete 64-recipient fan-out from a single
-// sender — vectorized through Fabric.Scatter, or (with serial) the paper's
-// Figure 3 loop of n blocking sends.
-func runScatter(n int, serial bool) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		f := rendezvous.New()
-		ctx := context.Background()
-		targets := make([]rendezvous.Addr, n)
-		for i := range targets {
-			targets[i] = rendezvous.Addr(fmt.Sprintf("R%d", i))
-		}
-		var failures atomic.Int64
-		var wg sync.WaitGroup
-		for _, to := range targets {
-			to := to
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < b.N; i++ {
-					if _, err := f.Recv(ctx, to, "S", "t"); err != nil {
-						failures.Add(1)
-						return
-					}
-				}
-			}()
-		}
-		val := []any{1}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if serial {
-				for _, to := range targets {
-					if err := f.Send(ctx, "S", to, "t", 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			} else {
-				if err := f.Scatter(ctx, "S", "t", targets, val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
-		wg.Wait()
-		if failures.Load() > 0 {
-			b.Fatalf("%d receives failed", failures.Load())
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -11,10 +10,10 @@ import (
 
 var staleLoadFallbacks = metrics.Get(metrics.StaleLoadFallbacks)
 
-// DefaultStaleLoadAfter is how old a load digest may be before the
-// least-loaded strategy stops trusting it, when EnrollerConfig.
-// StaleLoadAfter is zero.
-const DefaultStaleLoadAfter = 3 * time.Second
+// staleLoadAfter is how old a load digest may be before the least-loaded
+// strategy stops trusting it: a small multiple of the registry's announce
+// cadence.
+const staleLoadAfter = 3 * time.Second
 
 // HostView is one candidate host as a Balancer sees it for a single pick:
 // its breaker state (never half-open — pickHost tiers those out) and its
@@ -29,22 +28,20 @@ type HostView struct {
 	Load    registry.Load
 	HasLoad bool
 	// LoadAge is how old the digest is; Stale means it is missing or older
-	// than EnrollerConfig.StaleLoadAfter.
+	// than 3s.
 	LoadAge time.Duration
 	Stale   bool
 }
 
 // Balancer chooses a host among the usable candidates of one enrollment
-// attempt. Pick returns an index into views (out-of-range falls back to 0);
-// rng is the enroller's seeded stream, already serialized, so strategies
-// that randomize stay deterministic under RetryPolicy.Seed. Implementations
-// must be safe for concurrent use (Pick is serialized per enroller by the
-// rng lock today, but one Balancer may back several enrollers).
+// attempt. Pick returns an index into views (out-of-range falls back to
+// 0). Implementations must be safe for concurrent use: one enroller picks
+// from many goroutines, and one Balancer may back several enrollers.
 type Balancer interface {
 	// Name labels the strategy in metrics
 	// (remote_balancer_picks_<name>_total).
 	Name() string
-	Pick(views []HostView, rng *rand.Rand) int
+	Pick(views []HostView) int
 }
 
 // NewFailover returns the historical strategy: the first candidate wins.
@@ -55,19 +52,8 @@ func NewFailover() Balancer { return failoverBalancer{} }
 
 type failoverBalancer struct{}
 
-func (failoverBalancer) Name() string                            { return "failover" }
-func (failoverBalancer) Pick(views []HostView, _ *rand.Rand) int { _ = views; return 0 }
-
-// NewRandom returns the uniform random strategy: stateless, spreads load
-// evenly in expectation, deterministic under the enroller's seed.
-func NewRandom() Balancer { return randomBalancer{} }
-
-type randomBalancer struct{}
-
-func (randomBalancer) Name() string { return "random" }
-func (randomBalancer) Pick(views []HostView, rng *rand.Rand) int {
-	return rng.Intn(len(views))
-}
+func (failoverBalancer) Name() string        { return "failover" }
+func (failoverBalancer) Pick([]HostView) int { return 0 }
 
 // NewRoundRobin returns the rotating strategy: successive picks walk the
 // candidate list, giving the tightest spread when hosts are homogeneous.
@@ -80,7 +66,7 @@ type roundRobinBalancer struct {
 }
 
 func (*roundRobinBalancer) Name() string { return "round_robin" }
-func (b *roundRobinBalancer) Pick(views []HostView, _ *rand.Rand) int {
+func (b *roundRobinBalancer) Pick(views []HostView) int {
 	return int((b.cursor.Add(1) - 1) % uint64(len(views)))
 }
 
@@ -107,7 +93,7 @@ func loadScore(l registry.Load) uint64 {
 	return s
 }
 
-func (b *leastLoadedBalancer) Pick(views []HostView, _ *rand.Rand) int {
+func (b *leastLoadedBalancer) Pick(views []HostView) int {
 	best := -1
 	var bestScore uint64
 	ties := 0

@@ -84,11 +84,6 @@ type EnrollerConfig struct {
 	// healthy host in host order wins (rotated by attempt, so retries do
 	// not hammer one host). NewEnrollerRegistry defaults to NewLeastLoaded.
 	Balancer Balancer
-	// StaleLoadAfter is how old a host's load digest may be before the
-	// least-loaded strategy stops trusting it (0 = 3s). Digest age is
-	// bounded by the registry's announce cadence, so set this to a small
-	// multiple of the gossip interval.
-	StaleLoadAfter time.Duration
 
 	// MaxStreamsPerConn caps concurrent enrollments multiplexed onto one
 	// connection (0 = DefaultMaxStreamsPerConn). 1 gives every enrollment a
@@ -168,7 +163,7 @@ func (hs *hostState) setLoad(l registry.Load, at time.Time) {
 
 // view snapshots the host for a balancer decision. The breaker is read
 // without claiming its half-open probe token.
-func (hs *hostState) view(now time.Time, staleAfter time.Duration) HostView {
+func (hs *hostState) view(now time.Time) HostView {
 	st, _ := hs.brk.snapshot()
 	hs.loadMu.Lock()
 	v := HostView{Addr: hs.addr, Breaker: st, Load: hs.load, HasLoad: hs.hasLoad}
@@ -176,7 +171,7 @@ func (hs *hostState) view(now time.Time, staleAfter time.Duration) HostView {
 		v.LoadAge = now.Sub(hs.loadAt)
 	}
 	hs.loadMu.Unlock()
-	v.Stale = !v.HasLoad || v.LoadAge > staleAfter
+	v.Stale = !v.HasLoad || v.LoadAge > staleLoadAfter
 	return v
 }
 
@@ -262,9 +257,6 @@ func newEnroller(cfg EnrollerConfig) *Enroller {
 	}
 	if cfg.Breaker.Cooldown <= 0 {
 		cfg.Breaker.Cooldown = DefaultBreakerCooldown
-	}
-	if cfg.StaleLoadAfter <= 0 {
-		cfg.StaleLoadAfter = DefaultStaleLoadAfter
 	}
 	if cfg.Balancer == nil {
 		cfg.Balancer = NewFailover()
@@ -574,11 +566,9 @@ func (e *Enroller) balance(tier []*hostState, now time.Time) int {
 	}
 	views := make([]HostView, len(tier))
 	for i, hs := range tier {
-		views[i] = hs.view(now, e.cfg.StaleLoadAfter)
+		views[i] = hs.view(now)
 	}
-	e.rngMu.Lock()
-	i := e.balancer.Pick(views, e.rng)
-	e.rngMu.Unlock()
+	i := e.balancer.Pick(views)
 	if i < 0 || i >= len(tier) {
 		i = 0
 	}
@@ -837,17 +827,6 @@ func (e *Enroller) enrollPinned(ctx context.Context, hs *hostState, enr core.Enr
 		case <-time.After(e.backoff(attempt, retryAfterHint(err))):
 		}
 	}
-}
-
-// enrollOnce runs one offer against one host, start to release.
-func (e *Enroller) enrollOnce(ctx context.Context, hs *hostState, enr core.Enrollment) (core.Result, error) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return core.Result{}, core.ErrClosed
-	}
-	return e.muxEnroll(ctx, hs, enr)
 }
 
 // runClientBody runs the body with the same panic containment the local

@@ -65,11 +65,6 @@ type HostConfig struct {
 	// invisibly (both sides replay unacked frames). 0 disables — every
 	// connection loss aborts exactly as before resumption existed.
 	ResumeWindow time.Duration
-	// ResumeBufBytes caps each resumable session's unacked retransmit
-	// backlog (0 = wire.DefaultResumeBufBytes). A session over the cap is
-	// marked unresumable and degrades to the abort path at the next
-	// connection loss rather than buffering without bound.
-	ResumeBufBytes int
 
 	// Faults, when non-nil, injects network faults (chaos testing).
 	Faults NetFaults
@@ -456,7 +451,7 @@ func (h *Host) serveConn(nc net.Conn) {
 		return
 	}
 	h.connsV2.Add(1)
-	h.serveConnV2(c, resumeToken)
+	h.serveSession(c, resumeToken)
 }
 
 // enrollVerdict is the admission decision for one ENROLL frame.

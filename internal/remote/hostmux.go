@@ -93,7 +93,7 @@ func newHostSession(h *Host, c *wire.Conn, token string) *hostSession {
 		tasks:   make(chan streamTask),
 	}
 	if token != "" {
-		s.sess = wire.NewSession(c, token, h.cfg.ResumeBufBytes)
+		s.sess = wire.NewSession(c, token, 0)
 	}
 	return s
 }
@@ -133,14 +133,14 @@ func (h *Host) unregisterSession(s *hostSession) {
 	h.mu.Unlock()
 }
 
-// serveConnV2 serves one multiplexed connection until it dies. A resumable
+// serveSession serves one multiplexed connection until it dies. A resumable
 // connection's session is registered at once, so a blip that swallows the
 // client's first frames still leaves a session to resume. The first frame
 // decides what the connection is: a RESUME re-attaches an existing session
 // (parked, or live on a connection whose death the client noticed first)
 // and discards the fresh one; anything else is the fresh session's first
 // traffic.
-func (h *Host) serveConnV2(c *wire.Conn, token string) {
+func (h *Host) serveSession(c *wire.Conn, token string) {
 	s := newHostSession(h, c, token)
 	if token != "" {
 		h.registerSession(s)
@@ -159,10 +159,10 @@ func (h *Host) serveConnV2(c *wire.Conn, token string) {
 		if adopted == nil {
 			return
 		}
-		h.runConnV2(adopted, c, nil)
+		h.runConn(adopted, c, nil)
 		return
 	}
-	h.runConnV2(s, c, &preRead{t: t, stream: stream, seq: seq, m: m})
+	h.runConn(s, c, &preRead{t: t, stream: stream, seq: seq, m: m})
 }
 
 // adoptSession re-attaches the session named by a RESUME to a freshly
@@ -340,18 +340,18 @@ func (s *hostSession) work(t streamTask) {
 	t.st.cancel()
 }
 
-// preRead carries serveConnV2's already-read first frame into the loop.
+// preRead carries serveSession's already-read first frame into the loop.
 type preRead struct {
 	t           wire.MsgType
 	stream, seq uint64
 	m           any
 }
 
-// runConnV2 runs the read loop binding one transport connection to its
+// runConn runs the read loop binding one transport connection to its
 // session. It returns when the transport is unusable; the deferred exit
 // routes to park-or-teardown for transport failures and straight to
 // teardown for protocol violations (a violating client is not a blip).
-func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
+func (h *Host) runConn(s *hostSession, c *wire.Conn, first *preRead) {
 	fatal := false
 	defer func() {
 		if fatal {
@@ -515,7 +515,7 @@ func (h *Host) runConnV2(s *hostSession, c *wire.Conn, first *preRead) {
 func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st *hostStream, m *wire.Enroll) {
 	role, err := wire.DecodeRoleRef(m.Role)
 	if err != nil {
-		h.completeV2(st.b.fw, stream, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
+		h.complete(st.b.fw, stream, ids.RoleRef{}, core.Result{}, fmt.Errorf("%w: %s", core.ErrUnknownRole, m.Role))
 		return
 	}
 	switch verdict, reason := h.admitEnroll(); verdict {
@@ -528,7 +528,7 @@ func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st
 		h.shedEnrolls.Add(1)
 		shedEnrollsTotal.Inc()
 		h.logf("remote: %s: shedding ENROLL for %s: %s", remote, role, reason)
-		h.completeV2(st.b.fw, stream, role, core.Result{}, &core.OverloadError{
+		h.complete(st.b.fw, stream, role, core.Result{}, &core.OverloadError{
 			Script:     h.script,
 			RetryAfter: h.retryAfterHint(),
 			Reason:     reason,
@@ -540,7 +540,7 @@ func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st
 
 	with, err := wire.DecodeWith(m.With)
 	if err != nil {
-		h.completeV2(st.b.fw, stream, role, core.Result{}, err)
+		h.complete(st.b.fw, stream, role, core.Result{}, err)
 		return
 	}
 	e := core.Enrollment{
@@ -557,14 +557,14 @@ func (h *Host) serveStream(ctx context.Context, remote string, stream uint64, st
 	// enrollment just runs without the client's timeline.
 	e.TraceID, _ = trace.ParseTraceID(m.TraceID)
 	res, err := h.target.Enroll(ctx, e)
-	h.completeV2(st.b.fw, stream, role, res, err)
+	h.complete(st.b.fw, stream, role, res, err)
 }
 
-// completeV2 reports an enrollment's outcome on its stream. A write
+// complete reports an enrollment's outcome on its stream. A write
 // failure means the connection died; the session's read loop notices on
 // its next read (and on a resumable session the frame is retained and
 // replayed, so the outcome is never lost to a blip).
-func (h *Host) completeV2(fw frameWriter, stream uint64, role ids.RoleRef, res core.Result, err error) {
+func (h *Host) complete(fw frameWriter, stream uint64, role ids.RoleRef, res core.Result, err error) {
 	if errors.Is(err, core.ErrDraining) {
 		_ = fw.WriteFrame(wire.MsgDrain, stream, 0, wire.Drain{})
 		return

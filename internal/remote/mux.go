@@ -650,75 +650,75 @@ func (hs *hostState) retireMuxes() {
 	}
 }
 
-// muxEnroll runs one offer against hs on a pooled connection with a free
-// stream slot, dialing a fresh one when none has capacity.
-func (e *Enroller) muxEnroll(ctx context.Context, hs *hostState, enr core.Enrollment) (core.Result, error) {
+// enrollOnce runs one offer against one host, start to release, on a
+// pooled connection with a free stream slot — dialing a fresh one when
+// none has capacity. A withdrawn enrollment that was its connection's last
+// user retires the connection, freeing the host's connection slot just as
+// closing a dedicated connection would.
+func (e *Enroller) enrollOnce(ctx context.Context, hs *hostState, enr core.Enrollment) (core.Result, error) {
+	e.mu.Lock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		return core.Result{}, core.ErrClosed
+	}
 	// Existing capacity first: no dial, no lock beyond the pool scan.
-	if mc := hs.reserveMux(); mc != nil {
-		return e.enrollMux(ctx, mc, enr)
-	}
-	// Serialize dials per host: a concurrent burst of enrollments (a
-	// 64-role cast) must not each dial — the first dial provides stream
-	// capacity the rest share.
-	hs.dialMu.Lock()
-	if mc := hs.reserveMux(); mc != nil {
-		hs.dialMu.Unlock()
-		return e.enrollMux(ctx, mc, enr)
-	}
-	c, ack, err := e.dialRaw(ctx, hs.addr)
-	if err != nil {
-		hs.dialMu.Unlock()
-		return core.Result{}, err
-	}
-	hb := effectiveHeartbeat(e.cfg.HeartbeatInterval, ack.HeartbeatTimeoutMS)
-	mc := &muxConn{
-		c:          c,
-		hs:         hs,
-		stop:       make(chan struct{}),
-		maxStreams: e.maxStreams(),
-		streams:    make(map[uint64]*muxStream),
-		faults:     e.cfg.Faults,
-	}
-	if ack.ResumeToken != "" && ack.ResumeWindowMS > 0 {
-		// The host granted resumption: wrap the transport in a session and
-		// arm the redial path. The closure re-checks the enroller's closed
-		// flag so a Close racing a reconnect terminates the redial loop
-		// instead of leaking it (and the host's parked session with it).
-		mc.sess = wire.NewSession(c, ack.ResumeToken, 0)
-		mc.resumeWindow = time.Duration(ack.ResumeWindowMS) * time.Millisecond
-		mc.redial = func(rctx context.Context) (*wire.Conn, error) {
-			e.mu.Lock()
-			closed := e.closed
-			e.mu.Unlock()
-			if closed {
-				return nil, core.ErrClosed
+	mc := hs.reserveMux()
+	if mc == nil {
+		// Serialize dials per host: a concurrent burst of enrollments (a
+		// 64-role cast) must not each dial — the first dial provides stream
+		// capacity the rest share.
+		hs.dialMu.Lock()
+		if mc = hs.reserveMux(); mc == nil {
+			c, ack, err := e.dialRaw(ctx, hs.addr)
+			if err != nil {
+				hs.dialMu.Unlock()
+				return core.Result{}, err
 			}
-			rc, _, rerr := e.dialRaw(rctx, hs.addr)
-			return rc, rerr
+			mc = &muxConn{
+				c:          c,
+				hs:         hs,
+				stop:       make(chan struct{}),
+				maxStreams: e.maxStreams(),
+				streams:    make(map[uint64]*muxStream),
+				faults:     e.cfg.Faults,
+			}
+			if ack.ResumeToken != "" && ack.ResumeWindowMS > 0 {
+				// The host granted resumption: wrap the transport in a
+				// session and arm the redial path. The closure re-checks
+				// the enroller's closed flag so a Close racing a reconnect
+				// terminates the redial loop instead of leaking it (and the
+				// host's parked session with it).
+				mc.sess = wire.NewSession(c, ack.ResumeToken, 0)
+				mc.resumeWindow = time.Duration(ack.ResumeWindowMS) * time.Millisecond
+				mc.redial = func(rctx context.Context) (*wire.Conn, error) {
+					e.mu.Lock()
+					closed := e.closed
+					e.mu.Unlock()
+					if closed {
+						return nil, core.ErrClosed
+					}
+					rc, _, rerr := e.dialRaw(rctx, hs.addr)
+					return rc, rerr
+				}
+			}
+			mc.reserved++ // the dialing enrollment's own slot
+			hs.addMux(mc)
+			go mc.readLoop(c)
+			go mc.heartbeat(effectiveHeartbeat(e.cfg.HeartbeatInterval, ack.HeartbeatTimeoutMS), e.cfg.Faults)
 		}
+		hs.dialMu.Unlock()
 	}
-	mc.reserved++ // the dialing enrollment's own slot
-	hs.addMux(mc)
-	hs.dialMu.Unlock()
-	go mc.readLoop(c)
-	go mc.heartbeat(hb, e.cfg.Faults)
-	return e.enrollMux(ctx, mc, enr)
-}
-
-// enrollMux runs one offer on a reserved mux slot and applies the
-// withdraw-retirement policy: the shared connection is retired once a
-// withdrawn enrollment was its last user, so a withdrawal frees the host's
-// connection slot just as closing a dedicated connection would.
-func (e *Enroller) enrollMux(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
-	res, err := e.enrollOnceV2(ctx, mc, enr)
+	res, err := e.enrollStream(ctx, mc, enr)
 	if err != nil && ctx.Err() != nil && mc.active() == 0 {
 		mc.fail(fmt.Errorf("%w: connection retired after withdrawal", ErrConnLost))
 	}
 	return res, err
 }
 
-// enrollOnceV2 runs one offer on a reserved mux slot, start to release.
-func (e *Enroller) enrollOnceV2(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
+// enrollStream runs one offer on a reserved stream slot of mc, start to
+// release.
+func (e *Enroller) enrollStream(ctx context.Context, mc *muxConn, enr core.Enrollment) (core.Result, error) {
 	st, err := mc.openStream()
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {

@@ -82,7 +82,8 @@ func TestMuxSharesOneConnection(t *testing.T) {
 }
 
 // TestMuxDedicatedConnMode runs with MaxStreamsPerConn: 1 — a dedicated
-// connection per enrollment (perfbench E7's baseline arm).
+// connection per enrollment (the baseline arm of the
+// remote-star-broadcast-64 catalog entry).
 func TestMuxDedicatedConnMode(t *testing.T) {
 	in := core.NewInstance(patterns.StarBroadcast(2))
 	defer in.Close()

@@ -172,8 +172,8 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		}
 		return b, nil
 	default:
-		// Anything richer rides an embedded JSON blob, exactly as the whole
-		// value would have in v1.
+		// Anything richer rides an embedded JSON blob and arrives as
+		// encoding/json decodes it (numbers as float64, structs as maps).
 		blob, err := json.Marshal(v)
 		if err != nil {
 			return nil, fmt.Errorf("wire: marshal value: %w", err)

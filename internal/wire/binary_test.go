@@ -123,10 +123,10 @@ func TestV2RoundTripAllMessages(t *testing.T) {
 	}
 }
 
-// TestV2ValueCodec pins the value-type mapping: v2 preserves integer-ness
-// (unlike v1's JSON, which coerces every number to float64), []byte stays
-// []byte, and unmodeled types survive via the JSON fallback with v1
-// semantics.
+// TestV2ValueCodec pins the value-type mapping: the codec preserves
+// integer-ness (plain JSON would coerce every number to float64), []byte
+// stays []byte, and unmodeled types survive via the JSON fallback, arriving
+// as encoding/json decodes them.
 func TestV2ValueCodec(t *testing.T) {
 	cases := []struct {
 		in, want any
@@ -149,7 +149,7 @@ func TestV2ValueCodec(t *testing.T) {
 		{[]byte{0, 1, 2}, []byte{0, 1, 2}},
 		{[]any{1, "a", nil}, []any{1, "a", nil}},
 		{map[string]any{"x": []any{true}}, map[string]any{"x": []any{true}}},
-		// JSON fallback: a struct-ish type arrives as v1 would deliver it.
+		// JSON fallback: a struct-ish type arrives as encoding/json decodes it.
 		{struct {
 			A int `json:"a"`
 		}{5}, map[string]any{"a": 5.0}},
